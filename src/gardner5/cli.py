@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -219,7 +220,9 @@ def cmd_evolve(args) -> int:
     l2_ref = fourier.l2_norm(v0) ** 2
     doc = {
         "t_end": cfg.t_end,
-        "dt": cfg.dt,
+        "dt": trace.dt,
+        "steps": trace.steps,
+        "rhs_calls": 4 * trace.steps,
         "steps_recorded": len(trace.times),
         "times": list(trace.times),
         "mass_drift": trace.mass_drift,
@@ -308,9 +311,27 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# options whose value may start with "-": argparse reads `--time -1.2e-05`
+# as a flag followed by an unknown option, since "-1.2e-05" is not one of
+# the plain negative numbers it recognizes
+_SIGNED_VALUE_OPTIONS = ("--time", "--grid")
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """`--time -1.2e-05` -> `--time=-1.2e-05`, so the value cannot pass for a flag."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and re.match(r"-[0-9.]", tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_join_signed_values(argv))
     try:
         return args.func(args)
     except _INVALID_INPUT_ERRORS as e:

@@ -59,21 +59,26 @@ def _report(terms: list[np.ndarray], grid: Grid) -> ResidualReport:
     return ResidualReport(sup, l2_norm(fld), sup / scale, scale, fld)
 
 
+def flux_polynomial(v, vx, vxx, mu: float):
+    """K_mu pointwise from samples of v, v_x and v_xx, in Horner form.
+
+    The v-only terms 30 mu^4 v + 60 mu^3 v^2 + 60 mu^2 v^3 + 30 mu v^4 + 6 v^5
+    are nested as v (30 mu^4 + v (60 mu^3 + v (60 mu^2 + v (30 mu + 6 v)))),
+    and 20 mu v v_xx + 10 v^2 v_xx as 10 v (2 mu + v) v_xx.  The solver's
+    nonlinear term and `k_mu` both evaluate the flux here.
+    """
+    inner = 60.0 * mu**2 + v * (30.0 * mu + 6.0 * v)
+    return (
+        10.0 * ((mu + v) * vx * vx + v * (2.0 * mu + v) * vxx)
+        + v * (30.0 * mu**4 + v * (60.0 * mu**3 + v * inner))
+    )
+
+
 def k_mu(field: SampledField, mu: float) -> SampledField:
     """Nonlinear flux K_mu evaluated pointwise with spectral derivatives."""
-    v = field.values
     vx = derivative(field, 1).values
     vxx = derivative(field, 2).values
-    K = (
-        10.0 * (mu + v) * vx**2
-        + (20.0 * mu * v + 10.0 * v**2) * vxx
-        + 30.0 * mu**4 * v
-        + 60.0 * mu**3 * v**2
-        + 60.0 * mu**2 * v**3
-        + 30.0 * mu * v**4
-        + 6.0 * v**5
-    )
-    return SampledField(field.grid, K)
+    return SampledField(field.grid, flux_polynomial(field.values, vx, vxx, mu))
 
 
 def gardner5_rhs(field: SampledField, mu: float) -> SampledField:

@@ -98,6 +98,21 @@ class TestVerify:
         rc = main(["verify", "--params", "2,1,0.3", "--tolerance", "bogus=1"])
         assert rc == 2
 
+    def test_negative_scientific_time(self, tmp_path):
+        # argparse alone rejects "--time -1.2e-05" as a missing argument
+        out = tmp_path / "verify.json"
+        rc = main(["verify", "--params", "2,1,0", "--time", "-1.2e-05",
+                   "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["time"] == -1.2e-05
+
+    def test_negative_grid_center(self, tmp_path):
+        out = tmp_path / "b.csv"
+        rc = main(["eval", "--params", "1,1,0", "--grid", "-5,100,2048",
+                   "--out", str(out)])
+        assert rc == 0
+        assert read_csv_column(out, "x").mean() == pytest.approx(-5.0, abs=0.1)
+
     def test_corruption_injection_detected(self, tmp_path):
         out = tmp_path / "verify.json"
         rc = main(["verify", "--params", "2,1,0.3", "--inject-corruption",
@@ -130,6 +145,22 @@ class TestEvolve:
         assert doc["comparison_error"] <= 1e-6
         assert doc["mass_drift"] <= 1e-10
         assert doc["l2_drift_relative"] <= 1e-8
+
+    def test_records_step_rule_dt(self, tmp_path):
+        # no dt in the config: the stability rule picks it, and the
+        # diagnostics carry the step actually taken
+        cfg = self.write_config(tmp_path, grid=[0.0, 20 * np.pi, 256],
+                                t_end=1e-4, diagnostics_every=10**6)
+        doc = json.loads(cfg.read_text())
+        del doc["dt"]
+        cfg.write_text(json.dumps(doc))
+        rc = main(["evolve", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 0
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert isinstance(diag["dt"], float)
+        assert diag["steps"] >= 1
+        assert diag["dt"] == pytest.approx(1e-4 / diag["steps"], rel=1e-15)
+        assert diag["rhs_calls"] == 4 * diag["steps"]
 
     def test_zero_data_stays_zero(self, tmp_path):
         cfg = self.write_config(

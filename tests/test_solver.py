@@ -1,15 +1,19 @@
 """Integrating-factor RK4 evolution against the exact breather."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from gardner5 import (
     BlowUpError,
+    Grid,
     SampledField,
     SolverConfig,
     conserved_diagnostics,
     eval_rational,
     evolve,
+    k_mu,
     l2_norm,
     linear_symbol,
     make_grid,
@@ -48,6 +52,41 @@ class TestConfig:
     def test_bad_dt(self):
         with pytest.raises(SolverConfigError):
             SolverConfig(t_end=1.0, dt=0.0)
+
+
+class TestNonlinearRHS:
+    """The fused kernel against an independent path and across padding factors."""
+
+    @pytest.mark.parametrize("mu", [0.3, 0.0])
+    def test_matches_padded_k_mu(self, mu):
+        # independent path: zero-pad the breather onto the m = 3n grid, form
+        # K_mu there with fourier.derivative, then take -i xi of its low modes
+        p = validate_params(2, 1, mu)
+        g = make_grid(0.0, 24 * np.pi, 640)
+        n, m = g.points, 3 * g.points
+        vh = np.fft.rfft(sample_breather(p, 0.0, g).values)
+        padded = np.zeros(m // 2 + 1, dtype=complex)
+        padded[: n // 2 + 1] = vh
+        fine = SampledField(Grid(g.center, g.length, m), np.fft.irfft(padded, n=m) * m / n)
+        xi = 2 * np.pi * np.fft.rfftfreq(n, d=g.spacing)
+        want = -1j * xi * np.fft.rfft(k_mu(fine, mu).values)[: n // 2 + 1] * n / m
+        want[-1] = 0.0
+        got = _NonlinearRHS(g, mu, 3)(vh)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_alias_free_from_factor_3(self):
+        # random data filling every mode below Nyquist: the quintic products
+        # reach 5 (n/2 - 1), whose alias on the factor-3 grid lies past n/2
+        g = make_grid(0.0, 2 * np.pi, 64)
+        rng = np.random.default_rng(11)
+        vh = np.zeros(g.points // 2 + 1, dtype=complex)
+        vh[1:-1] = rng.standard_normal(31) + 1j * rng.standard_normal(31)
+        vh *= 1.0 / np.max(np.abs(np.fft.irfft(vh, n=g.points)))  # sup|v| = 1
+        r3, r4 = (_NonlinearRHS(g, 0.3, f)(vh) for f in (3, 4))
+        scale = np.max(np.abs(r4))
+        assert np.max(np.abs(r3 - r4)) <= 1e-12 * scale
+        # factor 2 aliases on the same data, so the comparison has teeth
+        assert np.max(np.abs(_NonlinearRHS(g, 0.3, 2)(vh) - r4)) >= 1e-6 * scale
 
 
 class TestEvolve:
@@ -150,6 +189,27 @@ class TestGuardsAndDiagnostics:
         dt = 40.0 * stable_time_step(v0, p.mu)
         with pytest.raises(BlowUpError):
             evolve(v0, p.mu, SolverConfig(t_end=2000 * dt, dt=dt, diagnostics_every=5))
+
+    @pytest.mark.parametrize("k", [1, 4, 5, 10])
+    def test_finiteness_guard_names_step(self, monkeypatch, k):
+        # NaN from the k-th RHS call on must stop the run in the step that
+        # made call k, not at the next checkpoint
+        calls = itertools.count(1)
+        call = _NonlinearRHS.__call__
+
+        def poisoned(self, vh):
+            out = call(self, vh)
+            if next(calls) >= k:
+                out[:] = np.nan
+            return out
+
+        monkeypatch.setattr(_NonlinearRHS, "__call__", poisoned)
+        p = validate_params(2, 1, 0.3)
+        g = make_grid(0.0, 20 * np.pi, 256)
+        step = (k - 1) // 4 + 1
+        with pytest.raises(BlowUpError, match=rf"non-finite spectrum at step {step} "):
+            evolve(sample_breather(p, 0.0, g), p.mu,
+                   SolverConfig(t_end=1e-4, dt=1e-6, diagnostics_every=10**6))
 
     def test_stable_time_step_scales_down_with_resolution(self):
         p = validate_params(2, 1, 0.3)

@@ -23,6 +23,7 @@ from .fourier import (
     GridMismatchError,
     SampledField,
     derivative,
+    derivatives,
     inner_product,
     l2_norm,
     make_grid,
@@ -38,7 +39,6 @@ from .residuals import (
     gardner5_rhs,
     k_mu,
     mkdv5_residual,
-    mkdv5_rhs,
     pde_residual,
 )
 from .solver import (

@@ -121,33 +121,34 @@ def cmd_verify(args) -> int:
     grid = _parse_grid(args.grid) if args.grid else _default_grid(params, t)
     tol = _parse_tolerances(args.tolerance)
 
-    perturbation = None
+    # one sample of the breather serves every check
+    clean = fourier.SampledField(grid, breather.eval_rational(params, t, grid.nodes))
+    sampled = clean
     if args.inject_corruption:
         xc = breather.envelope_center(params, t)
         bump = 1e-3 / np.cosh(params.beta * (grid.nodes - xc))
-        perturbation = fourier.SampledField(grid, bump)
+        sampled = fourier.SampledField(grid, clean.values + bump)
 
     checks = {}
-    pde = residuals.pde_residual(params, t, grid, perturbation=perturbation)
+    pde = residuals.pde_residual(params, t, grid, field=sampled)
     checks["pde"] = {
         "sup_rel": pde.sup_rel, "sup_abs": pde.sup_abs,
         "tolerance": tol["pde"], "pass": bool(pde.sup_rel <= tol["pde"]),
     }
-    ell = residuals.elliptic_residual(params, t, grid)
+    ell = residuals.elliptic_residual(params, t, grid, field=clean)
     checks["elliptic"] = {
         "sup_rel": ell.sup_rel, "sup_abs": ell.sup_abs,
         "tolerance": tol["elliptic"], "pass": bool(ell.sup_rel <= tol["elliptic"]),
     }
-    b_rat = breather.eval_rational(params, t, grid.nodes)
+    b_rat = clean.values
     b_arc = breather.eval_arctan_derivative(params, t, grid).values
     gap = float(np.max(np.abs(b_rat - b_arc)))
     gap_cap = tol["dual_form"] * (1.0 + float(np.max(np.abs(b_rat))))
     checks["dual_form"] = {
         "max_gap": gap, "tolerance": gap_cap, "pass": bool(gap <= gap_cap),
     }
-    fld = fourier.SampledField(grid, b_rat)
-    m = fourier.mean(fld)
-    m_cap = tol["zero_mean"] * (1.0 + fourier.l2_norm(fld))
+    m = fourier.mean(clean)
+    m_cap = tol["zero_mean"] * (1.0 + fourier.l2_norm(clean))
     checks["zero_mean"] = {
         "value": m,
         "closed_form": breather.breather_integral(params),
@@ -155,7 +156,9 @@ def cmd_verify(args) -> int:
         "pass": bool(abs(m) <= m_cap),
     }
     if params.mu == 0.0:
-        mk = residuals.mkdv5_residual(params, t, grid)
+        # mkdv5_residual is pde_residual at mu = 0, so on clean data the pde
+        # report is the mkdv5 report; under corruption it runs on clean data
+        mk = pde if sampled is clean else residuals.mkdv5_residual(params, t, grid)
         checks["mkdv5"] = {
             "sup_rel": mk.sup_rel, "sup_abs": mk.sup_abs,
             "tolerance": tol["mkdv5"], "pass": bool(mk.sup_rel <= tol["mkdv5"]),

@@ -124,32 +124,45 @@ def _check_periodic(field: SampledField, what: str) -> None:
     )
 
 
-def derivative(field: SampledField, order: int, edge_check: bool = True) -> SampledField:
-    """Spectral derivative of given order (1..5).
+def derivatives(
+    field: SampledField, orders, edge_check: bool = True
+) -> tuple[SampledField, ...]:
+    """Spectral derivatives of several orders (each 1..5) from one forward FFT.
 
     Multiplies the spectrum by (i xi)^order; the Nyquist mode is zeroed for
-    odd orders.  The imaginary residue of the inverse transform is checked
+    odd orders.  The imaginary residue of each inverse transform is checked
     against the worst-case derivative amplification before being discarded.
+    Returns one SampledField per entry of `orders`, in that order.
     """
-    if not isinstance(order, int) or not 1 <= order <= 5:
-        raise ValueError(f"derivative order must be an integer in 1..5, got {order}")
+    for order in orders:
+        if not isinstance(order, int) or not 1 <= order <= 5:
+            raise ValueError(f"derivative order must be an integer in 1..5, got {order}")
     if edge_check:
         _check_periodic(field, "derivative")
     xi = field.grid.frequencies
-    mult = (1j * xi) ** order
-    if order % 2:
-        mult[field.grid.points // 2] = 0.0
-    out = np.fft.ifft(mult * np.fft.fft(field.values))
+    spec = np.fft.fft(field.values)
     peak = np.max(np.abs(field.values))
     xi_max = np.max(np.abs(xi))
-    residue_scale = 1.0 + xi_max**order * peak
-    residue = np.max(np.abs(out.imag))
-    if residue > 1e-10 * residue_scale:
-        raise EdgeDecayError(
-            f"derivative: imaginary residue {residue:.2e} exceeds "
-            f"1e-10 * {residue_scale:.2e}; field is not consistently real/periodic"
-        )
-    return SampledField(field.grid, out.real)
+    out = []
+    for order in orders:
+        mult = (1j * xi) ** order
+        if order % 2:
+            mult[field.grid.points // 2] = 0.0
+        d = np.fft.ifft(mult * spec)
+        residue_scale = 1.0 + xi_max**order * peak
+        residue = np.max(np.abs(d.imag))
+        if residue > 1e-10 * residue_scale:
+            raise EdgeDecayError(
+                f"derivative: imaginary residue {residue:.2e} exceeds "
+                f"1e-10 * {residue_scale:.2e}; field is not consistently real/periodic"
+            )
+        out.append(SampledField(field.grid, d.real))
+    return tuple(out)
+
+
+def derivative(field: SampledField, order: int, edge_check: bool = True) -> SampledField:
+    """Spectral derivative of given order (1..5); see `derivatives`."""
+    return derivatives(field, (order,), edge_check)[0]
 
 
 def l2_norm(field: SampledField) -> float:

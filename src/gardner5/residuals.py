@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .breather import BreatherParams, eval_rational, velocities
-from .fourier import Grid, SampledField, derivative, l2_norm
+from .fourier import Grid, SampledField, derivative, derivatives, l2_norm
 
 
 class StepSizeError(RuntimeError):
@@ -76,22 +76,22 @@ def flux_polynomial(v, vx, vxx, mu: float):
 
 def k_mu(field: SampledField, mu: float) -> SampledField:
     """Nonlinear flux K_mu evaluated pointwise with spectral derivatives."""
-    vx = derivative(field, 1).values
-    vxx = derivative(field, 2).values
+    vx, vxx = (d.values for d in derivatives(field, (1, 2)))
     return SampledField(field.grid, flux_polynomial(field.values, vx, vxx, mu))
+
+
+def _spatial_terms(field: SampledField, mu: float) -> list[np.ndarray]:
+    """10 mu^2 v_xxx, v_5x and [K_mu(v)]_x from one spectrum of v."""
+    vx, vxx, v3, v5 = (d.values for d in derivatives(field, (1, 2, 3, 5)))
+    flux = SampledField(field.grid, flux_polynomial(field.values, vx, vxx, mu))
+    kx = derivative(flux, 1, edge_check=False).values
+    return [10.0 * mu**2 * v3, v5, kx]
 
 
 def gardner5_rhs(field: SampledField, mu: float) -> SampledField:
     """The v_t implied by the equation: -(10 mu^2 v_xxx + v_5x + [K_mu(v)]_x)."""
-    v3 = derivative(field, 3).values
-    v5 = derivative(field, 5).values
-    kx = derivative(k_mu(field, mu), 1, edge_check=False).values
-    return SampledField(field.grid, -(10.0 * mu**2 * v3 + v5 + kx))
-
-
-def mkdv5_rhs(field: SampledField) -> SampledField:
-    """5th-order mKdV right-hand side; the mu = 0 flux term by term."""
-    return gardner5_rhs(field, 0.0)
+    v3_term, v5, kx = _spatial_terms(field, mu)
+    return SampledField(field.grid, -(v3_term + v5 + kx))
 
 
 def default_time_step(params: BreatherParams) -> float:
@@ -102,9 +102,13 @@ def default_time_step(params: BreatherParams) -> float:
 
 def _time_derivative(params, t, grid, h_t, extrapolate, pair_tol):
     x = grid.nodes
+    # the h and h/2 stencils share t +- h, since 2 * (h/2) == h exactly
+    samples = {}
 
     def b(tt):
-        return eval_rational(params, tt, x)
+        if tt not in samples:
+            samples[tt] = eval_rational(params, tt, x)
+        return samples[tt]
 
     def central(hh):
         return (-b(t + 2 * hh) + 8 * b(t + hh) - 8 * b(t - hh) + b(t - 2 * hh)) / (12 * hh)
@@ -130,25 +134,19 @@ def pde_residual(
     time_step: float | None = None,
     extrapolate: bool = True,
     pair_tol: float = 1e-3,
-    perturbation: SampledField | None = None,
+    field: SampledField | None = None,
 ) -> ResidualReport:
     """Residual of the 5th-order Gardner equation for the sampled breather.
 
-    `perturbation` (added to the field before the spatial terms, for
-    sensitivity checks) deliberately corrupts the solution; the time
-    derivative still uses the exact closed form.
+    `field` substitutes other samples (e.g. the breather plus a bump, for
+    sensitivity checks) in the spatial terms; the time derivative still
+    uses the exact closed form.
     """
     h_t = default_time_step(params) if time_step is None else float(time_step)
     d_t = _time_derivative(params, t, grid, h_t, extrapolate, pair_tol)
-    vals = eval_rational(params, t, grid.nodes)
-    if perturbation is not None:
-        vals = vals + perturbation.values
-    fld = SampledField(grid, vals)
-    v3 = derivative(fld, 3).values
-    v5 = derivative(fld, 5).values
-    kx = derivative(k_mu(fld, params.mu), 1, edge_check=False).values
-    terms = [d_t, 10.0 * params.mu**2 * v3, v5, kx]
-    return _report(terms, grid)
+    if field is None:
+        field = SampledField(grid, eval_rational(params, t, grid.nodes))
+    return _report([d_t, *_spatial_terms(field, params.mu)], grid)
 
 
 def elliptic_residual(params: BreatherParams, t: float, grid: Grid,
@@ -166,19 +164,18 @@ def elliptic_residual(params: BreatherParams, t: float, grid: Grid,
     if field is None:
         field = SampledField(grid, eval_rational(params, t, grid.nodes))
     B = field.values
-    Bx = derivative(field, 1).values
-    Bxx = derivative(field, 2).values
-    B4 = derivative(field, 4).values
+    Bx, Bxx, B4 = (d.values for d in derivatives(field, (1, 2, 4)))
+    B2, B3, Bx2 = B**2, B**3, Bx**2
     terms = [
         B4,
-        2.0 * (al2 - be2) * (Bxx + 6.0 * mu * B**2 + 2.0 * B**3),
+        2.0 * (al2 - be2) * (Bxx + 6.0 * mu * B2 + 2.0 * B3),
         (al2 + be2) ** 2 * B,
-        10.0 * B**2 * Bxx,
-        10.0 * B * Bx**2,
+        10.0 * B2 * Bxx,
+        10.0 * B * Bx2,
         6.0 * B**5,
-        10.0 * mu * Bx**2,
+        10.0 * mu * Bx2,
         20.0 * mu * B * Bxx,
-        40.0 * mu**2 * B**3,
+        40.0 * mu**2 * B3,
         30.0 * mu * B**4,
     ]
     return _report(terms, grid)

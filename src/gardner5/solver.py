@@ -118,6 +118,10 @@ class _NonlinearRHS:
         self.nspec = n // 2 + 1
         xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.spacing)
         self.mult_in = np.stack([np.ones_like(xi), 1j * xi, -(xi**2)]) * (self.m / n)
+        # the n-point Nyquist mode is an ordinary mode of the padded grid,
+        # which would count it twice: halve it, and zero its odd derivative,
+        # so the padded fields interpolate the n-point ones
+        self.mult_in[:, -1] *= (0.5, 0.0, 0.5)
         # Nyquist zeroed for the odd-order output derivative
         self.mult_out = -1j * xi * (n / self.m)
         self.mult_out[-1] = 0.0

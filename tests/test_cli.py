@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from gardner5 import eval_rational, validate_params
+from gardner5 import breather, eval_rational, residuals, validate_params
 from gardner5.cli import main
 from gardner5.experiment import CSV_HEADER
 
@@ -121,6 +121,51 @@ class TestVerify:
         assert rc == 1
         assert not doc["checks"]["pde"]["pass"]
         assert doc["checks"]["pde"]["sup_rel"] >= 1e-4
+
+
+class TestVerifyCost:
+    """Each verify samples its breather once: 6 stencil times plus t itself."""
+
+    def count_samples(self, monkeypatch, argv):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return eval_rational(*args)
+
+        for module in (breather, residuals):
+            monkeypatch.setattr(module, "eval_rational", counted)
+        main(argv)
+        return len(calls)
+
+    @pytest.mark.parametrize("params, corrupt, samples", [
+        ("2,1,0.3", False, 7),
+        ("1,1,0", False, 7),
+        ("1,1,0", True, 14),    # mkdv5 reruns on the clean data
+    ])
+    def test_eval_rational_calls(self, tmp_path, monkeypatch, params, corrupt, samples):
+        argv = ["verify", "--params", params, "--out", str(tmp_path / "v.json")]
+        argv += ["--inject-corruption"] if corrupt else []
+        assert self.count_samples(monkeypatch, argv) == samples
+
+    def test_mkdv5_reuses_pde_report_at_mu_zero(self, tmp_path):
+        out = tmp_path / "verify.json"
+        main(["verify", "--params", "1,1,0", "--tolerance", "mkdv5=1e-5",
+              "--out", str(out)])
+        checks = json.loads(out.read_text())["checks"]
+        pde, mk = checks["pde"], checks["mkdv5"]
+        assert mk["tolerance"] == 1e-5 and pde["tolerance"] == 1e-6
+        assert {k: mk[k] for k in mk if k != "tolerance"} == {
+            k: pde[k] for k in pde if k != "tolerance"}
+
+    def test_mkdv5_checks_clean_data_under_corruption(self, tmp_path):
+        out = tmp_path / "verify.json"
+        rc = main(["verify", "--params", "1,1,0", "--inject-corruption",
+                   "--out", str(out)])
+        checks = json.loads(out.read_text())["checks"]
+        assert rc == 1
+        assert not checks["pde"]["pass"]
+        assert checks["mkdv5"]["pass"]
 
 
 class TestEvolve:

@@ -12,6 +12,7 @@ from gardner5 import (
     GridMismatchError,
     SampledField,
     derivative,
+    derivatives,
     inner_product,
     l2_norm,
     make_grid,
@@ -103,6 +104,60 @@ class TestDerivative:
             derivative(f, 6)
         with pytest.raises(ValueError):
             derivative(f, 0)
+
+
+class TestDerivatives:
+    """Several orders from one forward FFT, each as `derivative` computes it."""
+
+    def counting_fft(self, monkeypatch):
+        calls = {"fft": 0, "ifft": 0}
+        for name in calls:
+            original = getattr(np.fft, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        return calls
+
+    def test_bitwise_equal_to_per_order(self, monkeypatch):
+        p = validate_params(2, 1, 0.3)
+        f = sample_breather(p, 0.0, breather_window(p))
+        single = [derivative(f, k).values for k in range(1, 6)]
+        calls = self.counting_fft(monkeypatch)
+        batch = derivatives(f, (1, 2, 3, 4, 5))
+        assert calls == {"fft": 1, "ifft": 5}
+        for got, want in zip(batch, single):
+            assert np.array_equal(got.values, want)
+
+    def test_invalid_order_raises_before_fft(self, monkeypatch):
+        f = gaussian_field()
+        calls = self.counting_fft(monkeypatch)
+        for bad in ((1, 6), (2, 0), (1, 2.0)):
+            with pytest.raises(ValueError, match="order"):
+                derivatives(f, bad)
+        assert calls == {"fft": 0, "ifft": 0}
+
+    @pytest.mark.parametrize("bad_call", range(5))
+    def test_residue_checked_for_each_order(self, monkeypatch, bad_call):
+        # an imaginary part injected into one inverse transform trips the
+        # check at that order, before any later transform runs
+        f = gaussian_field()
+        original = np.fft.ifft
+        calls = []
+
+        def ifft(spec):
+            out = original(spec)
+            if len(calls) == bad_call:
+                out = out + 1j * np.max(np.abs(out))
+            calls.append(1)
+            return out
+
+        monkeypatch.setattr(np.fft, "ifft", ifft)
+        with pytest.raises(EdgeDecayError, match="imaginary residue"):
+            derivatives(f, (1, 2, 3, 4, 5))
+        assert len(calls) == bad_call + 1
 
 
 class TestNorms:

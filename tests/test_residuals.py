@@ -13,7 +13,6 @@ from gardner5 import (
     k_mu,
     make_grid,
     mean,
-    mkdv5_rhs,
     mkdv5_residual,
     pde_residual,
     sample_breather,
@@ -134,9 +133,16 @@ class TestPDEResidual:
     def test_sensitivity_to_corruption(self):
         p = validate_params(2, 1, 0.3)
         g = acceptance_grid()
-        bump = SampledField(g, 1e-3 / np.cosh(g.nodes))
-        rep = pde_residual(p, 0.0, g, perturbation=bump)
+        bump = 1e-3 / np.cosh(g.nodes)
+        corrupted = SampledField(g, sample_breather(p, 0.0, g).values + bump)
+        rep = pde_residual(p, 0.0, g, field=corrupted)
         assert rep.sup_rel >= 1e-4
+
+    def test_field_defaults_to_closed_form_samples(self):
+        p = validate_params(2, 1, 0.3)
+        g = acceptance_grid()
+        given = pde_residual(p, 0.0, g, field=sample_breather(p, 0.0, g))
+        assert given == pde_residual(p, 0.0, g)
 
     def test_step_size_guard(self):
         p = validate_params(2, 1, 0.3)
@@ -223,7 +229,7 @@ class TestMkdv5:
 
     def test_zero_field(self):
         g = make_grid(0.0, 40.0, 256)
-        out = mkdv5_rhs(SampledField(g, np.zeros(256)))
+        out = gardner5_rhs(SampledField(g, np.zeros(256)), 0.0)
         assert np.all(out.values == 0.0)
 
     def test_requires_mu_zero(self):

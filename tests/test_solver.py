@@ -11,6 +11,7 @@ from gardner5 import (
     SampledField,
     SolverConfig,
     conserved_diagnostics,
+    derivative,
     eval_rational,
     evolve,
     k_mu,
@@ -60,11 +61,14 @@ class TestNonlinearRHS:
     @pytest.mark.parametrize("mu", [0.3, 0.0])
     def test_matches_padded_k_mu(self, mu):
         # independent path: zero-pad the breather onto the m = 3n grid, form
-        # K_mu there with fourier.derivative, then take -i xi of its low modes
+        # K_mu there with fourier.derivative, then take -i xi of its low modes.
+        # That padding copies the Nyquist mode to an ordinary mode, counting
+        # it twice, so the data drop it (test_nyquist_padded_once covers it)
         p = validate_params(2, 1, mu)
         g = make_grid(0.0, 24 * np.pi, 640)
         n, m = g.points, 3 * g.points
         vh = np.fft.rfft(sample_breather(p, 0.0, g).values)
+        vh[-1] = 0.0
         padded = np.zeros(m // 2 + 1, dtype=complex)
         padded[: n // 2 + 1] = vh
         fine = SampledField(Grid(g.center, g.length, m), np.fft.irfft(padded, n=m) * m / n)
@@ -87,6 +91,22 @@ class TestNonlinearRHS:
         assert np.max(np.abs(r3 - r4)) <= 1e-12 * scale
         # factor 2 aliases on the same data, so the comparison has teeth
         assert np.max(np.abs(_NonlinearRHS(g, 0.3, 2)(vh) - r4)) >= 1e-6 * scale
+
+    def test_nyquist_padded_once(self):
+        # cos(8x) on 16 points is the pure Nyquist mode, samples +-1; the
+        # padded fields must interpolate v, v_x and v_xx at the coarse nodes
+        g = make_grid(np.pi, 2 * np.pi, 16)
+        f = SampledField(g, np.cos(8 * g.nodes))
+        np.testing.assert_allclose(np.abs(f.values), 1.0, atol=1e-13)
+        rhs = _NonlinearRHS(g, 0.3, 3)
+        rhs(np.fft.rfft(f.values))
+        v, vx, vxx = np.fft.irfft(rhs.padded, n=rhs.m, axis=-1)[:, ::3]
+        np.testing.assert_allclose(v, f.values, atol=1e-13)
+        # the n-point spectral derivatives (top-octave data: no edge check)
+        np.testing.assert_allclose(vx, derivative(f, 1, edge_check=False).values,
+                                   atol=1e-12)
+        np.testing.assert_allclose(vxx, derivative(f, 2, edge_check=False).values,
+                                   atol=1e-11)
 
 
 class TestEvolve:

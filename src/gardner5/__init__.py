@@ -7,12 +7,10 @@ from .breather import (
     Velocities,
     breather_integral,
     envelope_center,
-    eval_GF,
     eval_approx,
     eval_arctan_derivative,
     eval_rational,
     sample_breather,
-    sech_profile,
     validate_params,
     velocities,
 )
@@ -36,7 +34,6 @@ from .residuals import (
     ResidualReport,
     StepSizeError,
     elliptic_residual,
-    gardner5_rhs,
     k_mu,
     mkdv5_residual,
     pde_residual,
@@ -54,7 +51,6 @@ from .experiment import (
     ExperimentConfig,
     ExperimentRow,
     ScanResult,
-    build_initial,
     choose_T,
     choose_beta,
     choose_frequencies,

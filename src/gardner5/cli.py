@@ -57,21 +57,14 @@ def _parse_params(text: str) -> breather.BreatherParams:
     return breather.validate_params(*parts)
 
 
-def _parse_grid(text: str) -> fourier.Grid:
+def _parse_grid(text: str | None) -> fourier.Grid | None:
+    """--grid as a Grid; None without it, for the breather's own window."""
+    if not text:
+        return None
     parts = text.split(",")
     if len(parts) != 3:
         raise fourier.GridError("--grid expects center,length,points")
     return fourier.make_grid(float(parts[0]), float(parts[1]), int(float(parts[2])))
-
-
-def _default_grid(params: breather.BreatherParams, t: float) -> fourier.Grid:
-    """Window wide enough for edge decay, resolving carrier and harmonics."""
-    length = max(80.0 / params.beta, 40.0 / params.alpha)
-    per_unit = 20.0 * (params.alpha + 4.0 * params.beta) / (2.0 * math.pi)
-    n = 2 ** max(8, math.ceil(math.log2(length * per_unit)))
-    h = length / n
-    center = breather.envelope_center(params, t)
-    return fourier.Grid(round(center / h) * h, length, n)
 
 
 def _parse_tolerances(items) -> dict:
@@ -101,14 +94,14 @@ def _write_json(path: str, doc: dict) -> None:
 def cmd_eval(args) -> int:
     params = _parse_params(args.params)
     t = args.time
-    grid = _parse_grid(args.grid) if args.grid else _default_grid(params, t)
-    x = grid.nodes
+    sample = breather.sample_breather(params, t, _parse_grid(args.grid))
+    x = sample.grid.nodes
     if args.form == "rational":
-        values = breather.eval_rational(params, t, x)
+        values = sample.values
     elif args.form == "approx":
         values = breather.eval_approx(params, t, x)
     else:
-        values = breather.eval_arctan_derivative(params, t, grid).values
+        values = breather.eval_arctan_derivative(params, t, sample.grid).values
     lines = ["x,value"]
     lines.extend(f"{_fmt(xj)},{_fmt(vj)}" for xj, vj in zip(x, values))
     _write_text(args.out, "\n".join(lines) + "\n")
@@ -118,11 +111,11 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     params = _parse_params(args.params)
     t = args.time
-    grid = _parse_grid(args.grid) if args.grid else _default_grid(params, t)
     tol = _parse_tolerances(args.tolerance)
 
-    # one sample of the breather serves every check
-    clean = fourier.SampledField(grid, breather.eval_rational(params, t, grid.nodes))
+    # one sample of the breather, on the grid that sized it, serves every check
+    clean = breather.sample_breather(params, t, _parse_grid(args.grid))
+    grid = clean.grid
     sampled = clean
     if args.inject_corruption:
         xc = breather.envelope_center(params, t)

@@ -23,12 +23,10 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field, asdict
-from typing import NamedTuple
 
 import numpy as np
 
 from .breather import (
-    BreatherParams,
     eval_approx,
     eval_rational,
     envelope_center,
@@ -210,36 +208,6 @@ def experiment_grid(alpha_resolve: float, beta: float, widths: float,
     n = 2 ** max(8, math.ceil(math.log2(length * per_unit)))
     h = length / n
     return Grid(round(center / h) * h, length, n)
-
-
-class InitialData(NamedTuple):
-    field: SampledField          # exact breather at t = 0
-    approx_field: SampledField   # modulated-sech approximation on the same grid
-    params: BreatherParams
-
-
-def build_initial(alpha_j: float, beta: float, mu: float,
-                  widths: float = 80.0, points_per_period: float = 10.0) -> InitialData:
-    """Exact breather data at t = 0 on a window centered at the envelope.
-
-    Also samples the modulated-sech approximation for gap reporting.  Warns
-    outside the approximation regime beta/alpha <= 1/16.
-    """
-    params = validate_params(alpha_j, beta, mu)
-    if beta / alpha_j > 1.0 / 16.0:
-        warnings.warn(
-            f"beta/alpha = {beta / alpha_j:.3g} > 1/16: outside the "
-            f"modulated-sech approximation regime",
-            stacklevel=2,
-        )
-    grid = experiment_grid(alpha_j, beta, widths, points_per_period,
-                           center=envelope_center(params, 0.0))
-    x = grid.nodes
-    return InitialData(
-        SampledField(grid, eval_rational(params, 0.0, x)),
-        SampledField(grid, eval_approx(params, 0.0, x)),
-        params,
-    )
 
 
 def _cross_tail_bound(beta: float, separation: float) -> float:

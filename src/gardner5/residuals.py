@@ -88,12 +88,6 @@ def _spatial_terms(field: SampledField, mu: float) -> list[np.ndarray]:
     return [10.0 * mu**2 * v3, v5, kx]
 
 
-def gardner5_rhs(field: SampledField, mu: float) -> SampledField:
-    """The v_t implied by the equation: -(10 mu^2 v_xxx + v_5x + [K_mu(v)]_x)."""
-    v3_term, v5, kx = _spatial_terms(field, mu)
-    return SampledField(field.grid, -(v3_term + v5 + kx))
-
-
 def default_time_step(params: BreatherParams) -> float:
     """Phase motion of ~1e-4 length units per differencing step."""
     d5, g5 = velocities(params)

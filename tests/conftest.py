@@ -1,4 +1,4 @@
-"""Shared helpers: parameter sampling, evaluation windows, mpmath oracles."""
+"""Shared helpers: parameter sampling, mpmath oracles."""
 
 import math
 
@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from gardner5 import Grid, envelope_center, validate_params, velocities
+from gardner5 import validate_params
 
 
 def random_valid_params(rng, mu_zero=False):
@@ -25,20 +25,6 @@ def random_valid_params(rng, mu_zero=False):
     x1 = float(rng.uniform(-3.0, 3.0))
     x2 = float(rng.uniform(-3.0, 3.0))
     return validate_params(alpha, beta, mu, x1, x2)
-
-
-def breather_window(params, t=0.0, widths=80.0, carrier_mult=20.0):
-    """Window centered on the envelope, resolving carrier harmonics.
-
-    carrier_mult = 20 resolves the slowly decaying harmonic ladder of
-    strongly nonlinear shapes (beta ~ alpha) to ~1e-13.
-    """
-    length = max(widths / params.beta, 40.0 / params.alpha)
-    per_unit = carrier_mult * (params.alpha + 4.0 * params.beta) / (2.0 * math.pi)
-    n = 2 ** max(8, math.ceil(math.log2(length * per_unit)))
-    h = length / n
-    center = round(envelope_center(params, t) / h) * h
-    return Grid(center, length, n)
 
 
 def mp_breather(params, t, x, dps=50):

@@ -37,7 +37,7 @@ from gardner5 import (
 )
 from gardner5.experiment import VERDICT_SIGNATURE
 
-from conftest import breather_window, random_valid_params
+from conftest import random_valid_params
 
 
 def report(num, ok, detail):
@@ -85,9 +85,9 @@ def test_criterion_02_dual_form_agreement(tuple_pool):
     t0 = time.time()
     worst = 0.0
     for p, t in tuple_pool:
-        grid = breather_window(p, t)
-        rat = eval_rational(p, t, grid.nodes)
-        arct = eval_arctan_derivative(p, t, grid).values
+        fld = sample_breather(p, t)
+        rat = fld.values
+        arct = eval_arctan_derivative(p, t, fld.grid).values
         gap = np.max(np.abs(rat - arct)) / (1.0 + np.max(np.abs(rat)))
         worst = max(worst, gap)
     elapsed = time.time() - t0
@@ -104,7 +104,7 @@ def test_criterion_03_zero_mean_mu0_subset(tuple_pool):
     worst = 0.0
     for _ in range(40):
         p = random_valid_params(rng, mu_zero=True)
-        fld = sample_breather(p, 0.0, breather_window(p, 0.0))
+        fld = sample_breather(p, 0.0)
         worst = max(worst, abs(mean(fld)) / (1.0 + l2_norm(fld)))
     report(
         3,
@@ -118,7 +118,7 @@ def test_criterion_03_zero_mean_all_tuples_as_stated(tuple_pool):
     worst = 0.0
     winding = 0
     for p, t in tuple_pool:
-        fld = sample_breather(p, t, breather_window(p, t))
+        fld = sample_breather(p, t)
         rel = abs(mean(fld) - breather_integral(p)) / (1.0 + l2_norm(fld))
         violations += rel > 1e-10
         worst = max(worst, rel)
@@ -224,9 +224,8 @@ def test_criterion_09_approximation_regime():
     gaps = []
     for alpha in (16.0, 32.0, 64.0):
         p = validate_params(alpha, 1.0, 0.0)
-        grid = breather_window(p, 0.0, carrier_mult=10.0)
-        x = grid.nodes
-        gaps.append(float(np.max(np.abs(eval_rational(p, 0.0, x) - eval_approx(p, 0.0, x)))))
+        fld = sample_breather(p, 0.0)
+        gaps.append(float(np.max(np.abs(fld.values - eval_approx(p, 0.0, fld.grid.nodes)))))
     report(
         9,
         gaps[0] > gaps[1] > gaps[2],

@@ -11,18 +11,18 @@ from gardner5 import (
     ParameterError,
     breather_integral,
     envelope_center,
-    eval_GF,
     eval_approx,
     eval_arctan_derivative,
     eval_rational,
     sample_breather,
-    sech_profile,
     validate_params,
     velocities,
 )
 from gardner5.fourier import Grid, l2_norm, mean
 
-from conftest import breather_window, mp_breather, mp_breather_value, random_valid_params
+from gardner5.breather import _scaled_parts
+
+from conftest import mp_breather, mp_breather_value, random_valid_params
 
 
 class TestValidate:
@@ -67,26 +67,28 @@ class TestVelocities:
 
 
 class TestEvalGF:
+    # G and F come from _scaled_parts, shared by the rational and arctan
+    # paths, rescaled by exp(-|beta*y2|) so that their quotient never overflows
     def test_identity_point(self):
-        g, f, log_scale = eval_GF(validate_params(1, 1, 0), 0.0, 0.0)
+        g, f, _, _, az = _scaled_parts(validate_params(1, 1, 0), 0.0, 0.0)
         assert g == 0.0
         assert f == 1.0
-        assert log_scale == 0.0
+        assert az == 0.0
 
     def test_against_mp_oracle(self):
         p = validate_params(2, 1, 0.3)
-        g, f, log_scale = eval_GF(p, 0.0, 0.5)
+        g, f, _, _, az = _scaled_parts(p, 0.0, 0.5)
         G, F, _ = mp_breather(p, 0.0, 0.5)
-        assert log_scale == 0.0
-        assert g == pytest.approx(float(G), rel=1e-12)
-        assert f == pytest.approx(float(F), rel=1e-12)
+        assert az == pytest.approx(0.5, rel=1e-15)
+        assert g * math.exp(az) == pytest.approx(float(G), rel=1e-12)
+        assert f * math.exp(az) == pytest.approx(float(F), rel=1e-12)
 
     def test_overflow_regime(self):
         # beta*y2 = 800: raw cosh overflows, the rescaled quotient must not
         p = validate_params(2, 1, 0.3)
-        g, f, log_scale = eval_GF(p, 0.0, 800.0)
+        g, f, _, _, az = _scaled_parts(p, 0.0, 800.0)
         assert np.isfinite(g) and np.isfinite(f)
-        assert log_scale == pytest.approx(200.0, abs=1e-9)
+        assert az == pytest.approx(800.0, abs=1e-9)
         G, F, _ = mp_breather(p, 0.0, 800.0, dps=500)
         assert g / f == pytest.approx(float(G / F), rel=1e-12)
 
@@ -115,6 +117,22 @@ class TestRational:
         assert np.max(np.abs(far[:1])) == 0.0
         assert np.max(np.abs(far)) < 1e-100
 
+    @pytest.mark.parametrize("abm", [(2, 1, 0.3), (2, 1, 0), (0.8, 1, 0.5, 1, -2)])
+    def test_overflow_regime_against_mp_oracle(self, abm):
+        # |beta*y2| > 600, where cosh(beta*y2) alone is ~e^650.  Behind the
+        # envelope (y2 < 0) the rescaled quotient keeps B ~ e^-650 to full
+        # relative precision; ahead of it, for mu > 0, the leading
+        # exponentials cancel, so B is exact only to ~e^-|beta*y2|
+        p = validate_params(*abm)
+        for z in (-690.0, -650.0, -620.0, 620.0, 650.0, 690.0):
+            x = z / p.beta - p.x2
+            got = eval_rational(p, 0.0, np.array([x]))[0]
+            want = float(mp_breather(p, 0.0, x, dps=400)[2])
+            if z < 0:
+                assert got == pytest.approx(want, rel=1e-12)
+            else:
+                assert abs(got - want) <= 1e-260
+
     def test_overflow_safe_at_huge_offsets(self):
         p = validate_params(2, 1, 0.3)
         vals = eval_rational(p, 0.0, np.array([800.0, -800.0, 9.5e3]))
@@ -124,7 +142,7 @@ class TestRational:
         # rational vs spectral-arctan path at a single probe point
         p = validate_params(2, 1, 0.3)
         t = 0.1
-        grid = breather_window(p, t)
+        grid = sample_breather(p, t).grid
         arct = eval_arctan_derivative(p, t, grid)
         j = int(np.argmin(np.abs(grid.nodes - 1.0)))
         rat = eval_rational(p, t, grid.nodes[j])
@@ -166,15 +184,15 @@ class TestArctanPath:
         for _ in range(25):
             p = random_valid_params(rng)
             t = float(rng.uniform(-0.5, 0.5))
-            grid = breather_window(p, t)
-            arct = eval_arctan_derivative(p, t, grid).values
-            rat = eval_rational(p, t, grid.nodes)
+            fld = sample_breather(p, t)
+            arct = eval_arctan_derivative(p, t, fld.grid).values
+            rat = fld.values
             cap = 1e-9 * (1.0 + np.max(np.abs(rat)))
             assert np.max(np.abs(arct - rat)) <= cap
 
     def test_mkdv_against_mp_oracle(self):
         p = validate_params(1, 1, 0)
-        grid = breather_window(p, 0.0)
+        grid = sample_breather(p, 0.0).grid
         arct = eval_arctan_derivative(p, 0.0, grid)
         idx = np.linspace(0, grid.points - 1, 9, dtype=int)
         want = [mp_breather_value(p, 0.0, grid.nodes[j]) for j in idx]
@@ -197,42 +215,83 @@ class TestApprox:
         gaps = []
         for alpha in (16.0, 64.0):
             p = validate_params(alpha, 1.0, 0.0)
-            grid = breather_window(p, 0.0, carrier_mult=10.0)
-            x = grid.nodes
-            gaps.append(np.max(np.abs(eval_rational(p, 0.0, x) - eval_approx(p, 0.0, x))))
+            fld = sample_breather(p, 0.0)
+            gaps.append(np.max(np.abs(fld.values - eval_approx(p, 0.0, fld.grid.nodes))))
         assert gaps[1] < gaps[0]
 
     def test_monotone_convergence(self):
         gaps = []
         for alpha in (16.0, 32.0, 64.0):
             p = validate_params(alpha, 1.0, 0.0)
-            grid = breather_window(p, 0.0, carrier_mult=10.0)
-            x = grid.nodes
-            gaps.append(np.max(np.abs(eval_rational(p, 0.0, x) - eval_approx(p, 0.0, x))))
+            fld = sample_breather(p, 0.0)
+            gaps.append(np.max(np.abs(fld.values - eval_approx(p, 0.0, fld.grid.nodes))))
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_q_peak(self):
-        assert sech_profile(1.0, 0.0) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        # the envelope is sqrt(2) Q_beta with Q_1(0) = sqrt(2)
+        p = validate_params(16, 1, 0)
+        assert eval_approx(p, 0.0, 0.0) / math.sqrt(2.0) == pytest.approx(
+            math.sqrt(2.0), rel=1e-15
+        )
 
 
 class TestSechProfile:
+    # eval_approx at mu = 0, t = 0 is sqrt(2) cos(alpha x) Q_beta(x), with
+    # Q_beta(xi) = beta sqrt(2) sech(beta xi); at the carrier crests
+    # x = 2 pi k / alpha it is sqrt(2) Q_beta(x)
     def test_ode_residual(self):
         # Q'' - Q + Q^3 = 0 with the exact second derivative of sech
-        xi = np.linspace(-10, 10, 101)
-        q = sech_profile(1.0, xi)
+        alpha = 16.0
+        xi = 2.0 * np.pi * np.arange(-25, 26) / alpha
+        q = eval_approx(validate_params(alpha, 1, 0), 0.0, xi) / math.sqrt(2.0)
         s = 1 / np.cosh(xi)
         qpp = math.sqrt(2.0) * s * (1.0 - 2.0 * s**2)  # (sech)'' = sech(1 - 2 sech^2)
         residual = qpp - q + q**3
         assert np.max(np.abs(residual)) <= 1e-12
 
     def test_scaled_peak(self):
-        assert sech_profile(0.0625, 0.0) == pytest.approx(
-            math.sqrt(2.0) * 0.0625, rel=1e-15
-        )
+        # Q_beta(xi) = beta Q_1(beta xi): alpha scales with beta to keep the crests
+        beta = 0.0625
+        x = np.linspace(-10.0, 10.0, 41)
+        unit = eval_approx(validate_params(16, 1, 0), 0.0, x)
+        scaled = eval_approx(validate_params(16 * beta, beta, 0), 0.0, x / beta)
+        np.testing.assert_allclose(scaled, beta * unit, rtol=1e-12, atol=1e-15)
+        assert scaled[20] / math.sqrt(2.0) == pytest.approx(math.sqrt(2.0) * beta, rel=1e-15)
 
-    def test_beta_positive_required(self):
-        with pytest.raises(ParameterError):
-            sech_profile(0.0, 1.0)
+
+def resolved(values):
+    """No |rfft| coefficient in the top quarter of the band above 1e-10 of the peak."""
+    spectrum = np.abs(np.fft.rfft(values))
+    return np.max(spectrum[3 * values.size // 8:]) <= 1e-10 * np.max(spectrum)
+
+
+class TestSampleBreather:
+    @pytest.mark.parametrize("abm, t", [
+        ((2, 1, 0.3), 0.0),
+        ((1, 1, 0), 0.37),
+        ((0.8, 1, 0.5, 1, -2), 0.1),        # winding: 2 mu > alpha
+        ((3.9, 0.4, 0.0, 1.0, 2.0), -0.3),  # wide window, fast carrier
+        ((64, 1, 0), 0.0),
+    ])
+    def test_default_grid_is_coarsest_resolving(self, abm, t):
+        p = validate_params(*abm)
+        fld = sample_breather(p, t)
+        g = fld.grid
+        assert g.length == max(80.0 / p.beta, 40.0 / p.alpha)
+        assert g.center == round(envelope_center(p, t) / g.spacing) * g.spacing
+        assert np.array_equal(fld.values, eval_rational(p, t, g.nodes))
+        assert resolved(fld.values)
+        if g.points > 256:
+            h = 2.0 * g.spacing
+            coarse = Grid(round(envelope_center(p, t) / h) * h, g.length, g.points // 2)
+            assert not resolved(eval_rational(p, t, coarse.nodes))
+
+    def test_given_grid_is_used(self):
+        p = validate_params(2, 1, 0.3)
+        g = Grid(0.5, 60.0, 512)
+        fld = sample_breather(p, 0.1, g)
+        assert fld.grid == g
+        assert np.array_equal(fld.values, eval_rational(p, 0.1, g.nodes))
 
 
 class TestEnvelopeCenter:
@@ -254,7 +313,7 @@ class TestIntegral:
         # it vanishes only at mu = 0
         for _ in range(8):
             p = random_valid_params(rng)
-            fld = sample_breather(p, 0.0, breather_window(p, 0.0))
+            fld = sample_breather(p, 0.0)
             want = breather_integral(p)
             assert mean(fld) == pytest.approx(want, abs=1e-10 * (1 + l2_norm(fld)))
 
@@ -263,7 +322,7 @@ class TestIntegral:
         # 30-digit quadrature of the oracle's B over the envelope window,
         # split at carrier periods; the second tuple winds (2 mu > alpha)
         p = validate_params(*abm)
-        grid = breather_window(p, 0.0)
+        grid = sample_breather(p, 0.0).grid
         lo, hi = grid.center - grid.length / 2, grid.center + grid.length / 2
         n = math.ceil(grid.length * p.alpha / (2 * math.pi))
         with mpmath.workdps(30):
@@ -276,5 +335,5 @@ class TestIntegral:
     def test_zero_mean_at_mu_zero(self, rng):
         for _ in range(5):
             p = random_valid_params(rng, mu_zero=True)
-            fld = sample_breather(p, 0.0, breather_window(p, 0.0))
+            fld = sample_breather(p, 0.0)
             assert abs(mean(fld)) <= 1e-10 * (1.0 + l2_norm(fld))

@@ -113,6 +113,23 @@ class TestVerify:
         assert rc == 0
         assert read_csv_column(out, "x").mean() == pytest.approx(-5.0, abs=0.1)
 
+    def test_unresolvable_spectrum_exit2(self, tmp_path, monkeypatch, capsys):
+        # white noise never resolves: the grid doubling stops at 2^20 points
+        rng = np.random.default_rng(0)
+        sizes = []
+
+        def noise(params, t, x):
+            sizes.append(np.size(x))
+            return rng.standard_normal(np.size(x))
+
+        monkeypatch.setattr(breather, "eval_rational", noise)
+        out = tmp_path / "verify.json"
+        rc = main(["verify", "--params", "2,1,0.3", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert sizes == [2**k for k in range(8, 21)]
+        assert "not resolved" in capsys.readouterr().err
+
     def test_corruption_injection_detected(self, tmp_path):
         out = tmp_path / "verify.json"
         rc = main(["verify", "--params", "2,1,0.3", "--inject-corruption",
@@ -124,19 +141,22 @@ class TestVerify:
 
 
 class TestVerifyCost:
-    """Each verify samples its breather once: 6 stencil times plus t itself."""
+    """Each verify samples its breather once on its grid: 6 stencil times plus t.
 
-    def count_samples(self, monkeypatch, argv):
-        calls = []
+    Sizing the default grid samples each coarser power of two at most once.
+    """
 
-        def counted(*args):
-            calls.append(args[1])
-            return eval_rational(*args)
+    def sample_sizes(self, monkeypatch, argv):
+        sizes = []
+
+        def counted(params, t, x):
+            sizes.append(np.size(x))
+            return eval_rational(params, t, x)
 
         for module in (breather, residuals):
             monkeypatch.setattr(module, "eval_rational", counted)
         main(argv)
-        return len(calls)
+        return sizes
 
     @pytest.mark.parametrize("params, corrupt, samples", [
         ("2,1,0.3", False, 7),
@@ -144,9 +164,15 @@ class TestVerifyCost:
         ("1,1,0", True, 14),    # mkdv5 reruns on the clean data
     ])
     def test_eval_rational_calls(self, tmp_path, monkeypatch, params, corrupt, samples):
-        argv = ["verify", "--params", params, "--out", str(tmp_path / "v.json")]
+        out = tmp_path / "v.json"
+        argv = ["verify", "--params", params, "--out", str(out)]
         argv += ["--inject-corruption"] if corrupt else []
-        assert self.count_samples(monkeypatch, argv) == samples
+        sizes = self.sample_sizes(monkeypatch, argv)
+        n = json.loads(out.read_text())["grid"]["points"]
+        assert sizes.count(n) == samples
+        coarser = [k for k in sizes if k != n]
+        assert all(k < n and k & (k - 1) == 0 for k in coarser)
+        assert len(set(coarser)) == len(coarser)
 
     def test_mkdv5_reuses_pde_report_at_mu_zero(self, tmp_path):
         out = tmp_path / "verify.json"
@@ -166,6 +192,68 @@ class TestVerifyCost:
         assert rc == 1
         assert not checks["pde"]["pass"]
         assert checks["mkdv5"]["pass"]
+
+
+# Tuples of the benchmark's verify pools (perfbench/workloads.py verify_pool
+# at the seed in each id) on which the former default grid, 20 points per
+# period of alpha + 4 beta, under-resolved the breather and missed a check
+UNDER_RESOLVED = [
+    pytest.param((3.5072819627530305, 1.0254835172432923, 1.6206405274195619,
+                  1.172183249806749, -1.4447643801200325), 0.11025932843668551,
+                 id="seed6"),
+    pytest.param((3.2255000893531216, 0.8773452722823067, 1.3671589531983774,
+                  2.3171828985844964, -2.3138571575134836), -0.18479814141137074,
+                 id="seed7"),
+    pytest.param((2.660537180587168, 0.7978296144512342, 1.2464622562498566,
+                  -0.0644929100610443, -2.707197059856644), -0.24860119790452528,
+                 id="seed14"),
+    pytest.param((3.719352570810804, 0.9056646408173024, 0.07098669989201253,
+                  -0.22321777677026944, 0.012008741106710907), -0.4727596443729334,
+                 id="seed20"),
+    pytest.param((3.342808481563027, 0.8829595803050476, 1.4675358669654055,
+                  -1.1330232958064523, 1.1432523920454534), -0.2382682945099993,
+                 id="seed21"),
+    pytest.param((3.64716890863728, 0.9569533555026262, 1.6557482616534736,
+                  -1.265498355253796, -2.734295299572881), -0.011471414103634059,
+                 id="seed27"),
+    pytest.param((3.629126480270666, 1.1461531315220437, 1.7012634121702026,
+                  1.9786219194180692, 2.294283624991248), 0.12000332979847039,
+                 id="seed32"),
+    pytest.param((3.9709011817058544, 0.9757120234617365, 0.0,
+                  -0.5813643801194095, 0.684966488178687), 0.3434402936069,
+                 id="seed38a"),
+    pytest.param((2.0356860199633036, 0.541378008393124, 0.9337300181736229,
+                  -0.48059644607046614, -2.347062389829496), 0.09458073828368485,
+                 id="seed38b"),
+    pytest.param((3.758606455479135, 0.9875679560734003, 1.653194893206661,
+                  -0.4885216984986154, -0.4961681202238548), -0.2342895183604956,
+                 id="seed47"),
+]
+
+
+@pytest.mark.parametrize("params, t", UNDER_RESOLVED)
+def test_default_grid_passes_benchmark_checks(tmp_path, params, t):
+    # every check the benchmark applies to a verify report, at its own
+    # tolerances (the CLI defaults, restated so they cannot loosen)
+    out = tmp_path / "verify.json"
+    rc = main(["verify", "--params", ",".join(repr(v) for v in params),
+               f"--time={t!r}", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    checks = doc["checks"]
+    mu = params[2]
+    sup_rel_caps = {"pde": 1e-6, "elliptic": 1e-7}
+    if mu == 0.0:
+        sup_rel_caps["mkdv5"] = 1e-6
+    for key, cap in sup_rel_caps.items():
+        assert checks[key]["sup_rel"] <= cap and checks[key]["pass"], key
+    assert checks["dual_form"]["max_gap"] <= checks["dual_form"]["tolerance"]
+    assert checks["dual_form"]["pass"]
+    zero_mean = checks["zero_mean"]
+    integral = breather.breather_integral(validate_params(*params))
+    assert abs(zero_mean["value"] - integral) <= zero_mean["tolerance"]
+    if mu == 0.0:
+        assert zero_mean["pass"]
+    assert rc == (0 if doc["all_pass"] else 1)
 
 
 class TestEvolve:

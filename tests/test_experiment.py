@@ -6,17 +6,18 @@ import pytest
 from gardner5 import (
     ExperimentConfig,
     breather_integral,
-    build_initial,
     choose_T,
     choose_beta,
     choose_frequencies,
+    eval_approx,
+    eval_rational,
     l2_norm,
     mean,
     measure_pair,
     run_scan,
+    sample_breather,
     scan_to_csv,
     separation_ratio,
-    sobolev_norm,
     validate_params,
 )
 from gardner5 import experiment
@@ -100,26 +101,28 @@ class TestConfig:
 
 
 class TestBuildInitial:
+    # the scan's t = 0 data: exact breathers sampled on experiment_grid
     def test_norm_and_mean(self):
-        s = 0.5
-        norms = []
-        for alpha in (8.0, 16.0):
-            beta = choose_beta(alpha, s)
-            data = build_initial(alpha, beta, 0.05)
-            norms.append(sobolev_norm(data.field, s))
-            cap = 1e-10 * (1 + l2_norm(data.field))
-            assert abs(mean(data.field) - breather_integral(data.params)) <= cap
+        # the t = 0 norms of alphas 8 and 16 share a factor-2 band, and the
+        # scan's t = 0 window holds the closed-form integral of each breather
+        cfg = ExperimentConfig()
+        rows = [measure_pair(cfg, alpha) for alpha in (8.0, 16.0)]
+        norms = [r.norm0_1 for r in rows]
         assert max(norms) / min(norms) <= 2.0
+        for r in rows:
+            p = validate_params(r.alpha1, r.beta, cfg.mu)
+            grid = experiment.experiment_grid(r.alpha1, r.beta, cfg.window_widths,
+                                              cfg.points_per_period)
+            fld = sample_breather(p, 0.0, grid)
+            cap = 1e-10 * (1 + l2_norm(fld))
+            assert abs(mean(fld) - breather_integral(p)) <= cap
 
     def test_approximation_gap_small_regime(self):
         # beta/alpha = 1/256: sup gap below 5% of the 2*beta peak
-        data = build_initial(256.0, 1.0, 0.0)
-        gap = np.max(np.abs(data.field.values - data.approx_field.values))
+        p = validate_params(256.0, 1.0, 0.0)
+        x = experiment.experiment_grid(256.0, 1.0, 80.0, 10.0).nodes
+        gap = np.max(np.abs(eval_rational(p, 0.0, x) - eval_approx(p, 0.0, x)))
         assert gap <= 0.05 * 2.0 * 1.0
-
-    def test_regime_warning(self):
-        with pytest.warns(UserWarning, match="1/16"):
-            build_initial(8.0, 1.0, 0.0)
 
 
 class TestMeasurePair:

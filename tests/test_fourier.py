@@ -25,8 +25,6 @@ from gardner5 import (
 )
 from gardner5.fourier import window_overlap
 
-from conftest import breather_window
-
 
 def gaussian_field(length=200.0, points=4096, width=1.0, center=0.0):
     g = make_grid(center, length, points)
@@ -123,7 +121,7 @@ class TestDerivatives:
 
     def test_bitwise_equal_to_per_order(self, monkeypatch):
         p = validate_params(2, 1, 0.3)
-        f = sample_breather(p, 0.0, breather_window(p))
+        f = sample_breather(p, 0.0)
         single = [derivative(f, k).values for k in range(1, 6)]
         calls = self.counting_fft(monkeypatch)
         batch = derivatives(f, (1, 2, 3, 4, 5))
@@ -266,11 +264,11 @@ class TestUnionDistance:
         # union-grid FFT against the direct sum of squared norms
         p = validate_params(8.0, 0.125, 0.05)
         s = 0.5
-        g1 = breather_window(p, 0.0, carrier_mult=10.0)
+        v1 = sample_breather(p, 0.0)
+        g1 = v1.grid
         h = g1.spacing
         shift = round(1.5 * g1.length / h) * h
         g2 = Grid(g1.center + shift, g1.length, g1.points)
-        v1 = sample_breather(p, 0.0, g1)
         p2 = validate_params(p.alpha, p.beta, p.mu, x1=-shift, x2=-shift)
         v2 = sample_breather(p2, 0.0, g2)
         du = window_union_distance(v1, v2, s)
@@ -280,12 +278,12 @@ class TestUnionDistance:
 
     def test_far_separated_falls_back_to_pythagoras(self):
         p = validate_params(8.0, 0.125, 0.05)
-        g1 = breather_window(p, 0.0, carrier_mult=10.0)
+        v1 = sample_breather(p, 0.0)
+        g1 = v1.grid
         h = g1.spacing
         shift = round(1e7 / h) * h
         g2 = Grid(g1.center + shift, g1.length, g1.points)
         p2 = validate_params(p.alpha, p.beta, p.mu, x1=-shift, x2=-shift)
-        v1 = sample_breather(p, 0.0, g1)
         v2 = sample_breather(p2, 0.0, g2)
         d = window_union_distance(v1, v2, 0.5, max_union_points=2**22)
         want = math.sqrt(sobolev_norm(v1, 0.5) ** 2 + sobolev_norm(v2, 0.5) ** 2)
@@ -295,10 +293,10 @@ class TestUnionDistance:
         # the same function seen through two half-overlapping windows:
         # the union difference must vanish, Pythagoras would be badly wrong
         p = validate_params(8.0, 0.125, 0.05)
-        g1 = breather_window(p, 0.0, carrier_mult=10.0)
+        v1 = sample_breather(p, 0.0)
+        g1 = v1.grid
         h = g1.spacing
         g2 = Grid(g1.center + round(0.125 * g1.length / h) * h, g1.length, g1.points)
-        v1 = sample_breather(p, 0.0, g1)
         v2 = sample_breather(p, 0.0, g2)
         assert window_overlap(g1, g2) == pytest.approx(0.875, abs=1e-12)
         d = window_union_distance(v1, v2, 0.5)

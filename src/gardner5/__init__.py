@@ -32,7 +32,6 @@ from .fourier import (
 )
 from .residuals import (
     ResidualReport,
-    StepSizeError,
     elliptic_residual,
     k_mu,
     mkdv5_residual,

@@ -119,11 +119,15 @@ def _phases(params, t, x):
     return params.alpha * y1, params.beta * y2
 
 
-def _scaled_parts(params, t, x):
+def _scaled_parts(params, t, x, time_partials=False):
     """G, F, Gx, Fx all rescaled by exp(-|beta*y2|), plus |beta*y2|.
 
     The common rescaling cancels in any quotient (B = 2M/N, arctan(G/F)),
-    which is what makes evaluation at |beta*y2| ~ 1e4 possible.
+    which is what makes evaluation at |beta*y2| ~ 1e4 possible.  With
+    `time_partials`, Gt, Ft, Gxt and Fxt follow, under the same scaling.  B
+    depends on t only through the phases a = alpha*y1 and z = beta*y2, so a
+    t-partial is an x-partial with the phase rates (alpha, beta) replaced by
+    (alpha*delta5, beta*gamma5).
     """
     al, be, mu = params.alpha, params.beta, params.mu
     a, z = _phases(params, t, np.asarray(x, dtype=float))
@@ -139,23 +143,54 @@ def _scaled_parts(params, t, x):
     c2 = 2.0 * mu * be / params.delta
     c3 = 2.0 * mu * be / (al * sab * sD)
     sin_a, cos_a = np.sin(a), np.cos(a)
+
+    def along(ka, kz):
+        # G and F differentiated along the phase rates (da, dz) = (ka, kz)
+        return (c1 * ka * cos_a * unit - c2 * kz * em,
+                kz * sh + c3 * ka * (al * sin_a + be * cos_a) * unit)
+
     G = c1 * sin_a * unit - c2 * em
     F = ch - c3 * (al * cos_a - be * sin_a) * unit
-    Gx = c1 * al * cos_a * unit - c2 * be * em
-    Fx = be * sh + c3 * al * (al * sin_a + be * cos_a) * unit
-    return G, F, Gx, Fx, az
+    parts = (G, F, *along(al, be), az)
+    if not time_partials:
+        return parts
+    d5, g5 = velocities(params)
+    ka, kz = al * d5, be * g5
+    Gxt = -c1 * al * ka * sin_a * unit - c2 * be * kz * em
+    Fxt = be * kz * ch + c3 * al * ka * (al * cos_a - be * sin_a) * unit
+    return (*parts, *along(ka, kz), Gxt, Fxt)
 
 
-def eval_rational(params: BreatherParams, t, x):
-    """Breather values via the rational form 2M/N.  Vectorized in x."""
-    G, F, Gx, Fx, _ = _scaled_parts(params, t, x)
+def _denominator(G, F):
     N = F * F + G * G
     if np.min(N) <= 1e-300:
         raise ParameterError(
             "denominator N = F^2 + G^2 vanished; parameters outside the "
             "validated range (Delta > 0 should prevent this)"
         )
-    return 2.0 * (Gx * F - Fx * G) / N
+    return N
+
+
+def eval_rational(params: BreatherParams, t, x):
+    """Breather values via the rational form 2M/N.  Vectorized in x."""
+    G, F, Gx, Fx, _ = _scaled_parts(params, t, x)
+    return 2.0 * (Gx * F - Fx * G) / _denominator(G, F)
+
+
+def eval_rational_dt(params: BreatherParams, t, x):
+    """B_t of the rational form, pointwise and exact.  Vectorized in x.
+
+    With M = Gx F - Fx G and N = F^2 + G^2 from `_scaled_parts`,
+
+        B_t = 2 (M_t N - M N_t) / N^2,
+        M_t = Gxt F + Gx Ft - Fxt G - Fx Gt,   N_t = 2 (F Ft + G Gt).
+    """
+    G, F, Gx, Fx, _, Gt, Ft, Gxt, Fxt = _scaled_parts(params, t, x, time_partials=True)
+    M = Gx * F - Fx * G
+    Mt = Gxt * F + Gx * Ft - Fxt * G - Fx * Gt
+    N = _denominator(G, F)
+    Nt = 2.0 * (F * Ft + G * Gt)
+    return 2.0 * (Mt * N - M * Nt) / (N * N)
 
 
 def eval_arctan_derivative(params: BreatherParams, t: float, grid: Grid,
@@ -228,17 +263,21 @@ def sample_breather(params: BreatherParams, t: float,
     """Rational-form breather sampled on `grid`, or on the coarsest grid that resolves it.
 
     With no grid, the window is max(80/beta, 40/alpha) long, centred on the
-    envelope and snapped to its spacing.  The point count doubles from 256
-    until no |rfft| coefficient in the top quarter of the band (bins
-    k >= 3n/8) exceeds RESOLVED_TAIL times the largest one, and that last
-    sample is returned.  Raises GridTooNarrowError if MAX_POINTS points do
-    not resolve the spectrum.
+    envelope and snapped to its spacing.  The point count starts at the
+    carrier's band edge, the least power of two >= 256 and >= length *
+    (alpha + beta) / pi, and doubles until no |rfft| coefficient in the top
+    quarter of the band (bins k >= 3n/8) exceeds RESOLVED_TAIL times the
+    largest one; that last sample is returned.  Raises GridTooNarrowError if
+    MAX_POINTS points do not resolve the spectrum.
     """
     if grid is not None:
         return SampledField(grid, eval_rational(params, t, grid.nodes))
     length = max(80.0 / params.beta, 40.0 / params.alpha)
     center = envelope_center(params, t)
-    n = 256
+    # start at the carrier's band edge: a coarser grid aliases the carrier
+    # into the lower band, where the top-quarter test cannot see it
+    edge = length * (params.alpha + params.beta) / math.pi
+    n = max(256, 2 ** math.ceil(math.log2(edge)))
     while n <= MAX_POINTS:
         h = length / n
         field = sample_breather(params, t, Grid(round(center / h) * h, length, n))

@@ -1,7 +1,7 @@
 """Command-line surface: evaluation, verification, evolution, ill-posedness scan.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 invalid
-input or config, 3 runtime guard tripped (blow-up, step-size failure).
+input or config, 3 runtime guard tripped (blow-up).
 Outputs are CSV (header row, LF endings, 17-significant-digit scientific
 floats) and UTF-8 JSON, deterministic for identical inputs.
 """
@@ -41,7 +41,6 @@ _INVALID_INPUT_ERRORS = (
     solver.SolverConfigError,
     experiment.ExperimentConfigError,
 )
-_GUARD_ERRORS = (solver.BlowUpError, residuals.StepSizeError)
 
 
 def _fmt(x: float) -> str:
@@ -336,7 +335,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
-    except _GUARD_ERRORS as e:
+    except solver.BlowUpError as e:
         print(f"guard tripped: {e}", file=sys.stderr)
         return EXIT_GUARD
 

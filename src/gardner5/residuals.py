@@ -5,9 +5,9 @@ Checks that the sampled breather satisfies the 5th-order Gardner equation
     v_t + 10 mu^2 v_xxx + v_5x + [K_mu(v)]_x = 0,
 
 the fourth-order elliptic equation characterizing its spatial profile, and
-(at mu = 0) the 5th-order mKdV equation.  The time derivative is obtained by
-4th-order central differencing of the closed form with Richardson
-extrapolation, keeping the check independent of the equation being verified.
+(at mu = 0) the 5th-order mKdV equation.  The time derivative is the closed
+form's own, `breather.eval_rational_dt`, exact at each node; it does not
+use the equation being verified.
 
 K_mu is the exact reduction of the 5th-order mKdV flux under u = mu + v:
 
@@ -26,12 +26,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .breather import BreatherParams, eval_rational, velocities
+from .breather import BreatherParams, eval_rational, eval_rational_dt
 from .fourier import Grid, SampledField, derivative, derivatives, l2_norm
-
-
-class StepSizeError(RuntimeError):
-    """Time-differencing step failed its consistency check."""
 
 
 @dataclass(frozen=True)
@@ -88,56 +84,15 @@ def _spatial_terms(field: SampledField, mu: float) -> list[np.ndarray]:
     return [10.0 * mu**2 * v3, v5, kx]
 
 
-def default_time_step(params: BreatherParams) -> float:
-    """Phase motion of ~1e-4 length units per differencing step."""
-    d5, g5 = velocities(params)
-    return 1e-4 / max(abs(d5), abs(g5), 1.0)
-
-
-def _time_derivative(params, t, grid, h_t, extrapolate, pair_tol):
-    x = grid.nodes
-    # the h and h/2 stencils share t +- h, since 2 * (h/2) == h exactly
-    samples = {}
-
-    def b(tt):
-        if tt not in samples:
-            samples[tt] = eval_rational(params, tt, x)
-        return samples[tt]
-
-    def central(hh):
-        return (-b(t + 2 * hh) + 8 * b(t + hh) - 8 * b(t - hh) + b(t - 2 * hh)) / (12 * hh)
-
-    d_h = central(h_t)
-    if not extrapolate:
-        return d_h
-    d_h2 = central(h_t / 2)
-    disagreement = float(np.max(np.abs(d_h - d_h2)))
-    scale = 1.0 + float(np.max(np.abs(d_h2)))
-    if disagreement > pair_tol * scale:
-        raise StepSizeError(
-            f"time-differencing pair disagreement {disagreement:.2e} exceeds "
-            f"{pair_tol:.1e} * {scale:.2e}; adjust the time step"
-        )
-    return (16.0 * d_h2 - d_h) / 15.0
-
-
-def pde_residual(
-    params: BreatherParams,
-    t: float,
-    grid: Grid,
-    time_step: float | None = None,
-    extrapolate: bool = True,
-    pair_tol: float = 1e-3,
-    field: SampledField | None = None,
-) -> ResidualReport:
+def pde_residual(params: BreatherParams, t: float, grid: Grid,
+                 field: SampledField | None = None) -> ResidualReport:
     """Residual of the 5th-order Gardner equation for the sampled breather.
 
     `field` substitutes other samples (e.g. the breather plus a bump, for
     sensitivity checks) in the spatial terms; the time derivative still
     uses the exact closed form.
     """
-    h_t = default_time_step(params) if time_step is None else float(time_step)
-    d_t = _time_derivative(params, t, grid, h_t, extrapolate, pair_tol)
+    d_t = eval_rational_dt(params, t, grid.nodes)
     if field is None:
         field = SampledField(grid, eval_rational(params, t, grid.nodes))
     return _report([d_t, *_spatial_terms(field, params.mu)], grid)
@@ -175,13 +130,7 @@ def elliptic_residual(params: BreatherParams, t: float, grid: Grid,
     return _report(terms, grid)
 
 
-def mkdv5_residual(
-    params: BreatherParams,
-    t: float,
-    grid: Grid,
-    time_step: float | None = None,
-    extrapolate: bool = True,
-) -> ResidualReport:
+def mkdv5_residual(params: BreatherParams, t: float, grid: Grid) -> ResidualReport:
     """Residual of the 5th-order mKdV equation (the mu = 0 specialization).
 
     At mu = 0 the Gardner flux reduces term by term to the mKdV flux, so the
@@ -190,4 +139,4 @@ def mkdv5_residual(
     """
     if params.mu != 0.0:
         raise ValueError(f"mkdv5_residual requires mu = 0, got mu = {params.mu}")
-    return pde_residual(params, t, grid, time_step=time_step, extrapolate=extrapolate)
+    return pde_residual(params, t, grid)

@@ -1,12 +1,25 @@
-"""Shared helpers: parameter sampling, mpmath oracles."""
+"""Shared helpers: parameter sampling, mpmath oracles, the acceptance evolution."""
 
+import json
 import math
+import time
 
 import mpmath
 import numpy as np
 import pytest
 
 from gardner5 import validate_params
+from gardner5.cli import main
+
+# criterion 4's evolution: breather (2, 1, 0.3) on 640 points over 24 pi,
+# 62,500 RK4 steps of dt = 1.6e-7 to t = 0.01
+ACCEPTANCE_EVOLVE = {
+    "params": [2, 1, 0.3],
+    "grid": [0.0, 24 * np.pi, 640],
+    "t_end": 0.01,
+    "dt": 1.6e-7,
+    "diagnostics_every": 12500,
+}
 
 
 def random_valid_params(rng, mu_zero=False):
@@ -58,3 +71,19 @@ def mp_breather_value(params, t, x, dps=50):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def acceptance_evolution(tmp_path_factory):
+    """ACCEPTANCE_EVOLVE run once through `gardner5 evolve`.
+
+    Returns the exit code, the parsed diagnostics.json and the run's wall
+    time in seconds, so tests sharing the run can still gate its cost.
+    """
+    out = tmp_path_factory.mktemp("acceptance_evolution")
+    config = out / "evolve.json"
+    config.write_text(json.dumps(ACCEPTANCE_EVOLVE))
+    t0 = time.time()
+    rc = main(["evolve", "--config", str(config), "--out", str(out)])
+    seconds = time.time() - t0
+    return rc, json.loads((out / "diagnostics.json").read_text()), seconds

@@ -22,7 +22,6 @@ from gardner5 import (
     elliptic_residual,
     eval_approx,
     eval_arctan_derivative,
-    eval_rational,
     evolve,
     l2_norm,
     make_grid,
@@ -132,17 +131,15 @@ def test_criterion_03_zero_mean_all_tuples_as_stated(tuple_pool):
     )
 
 
-def test_criterion_04_solver_cross_validation():
+def test_criterion_04_solver_cross_validation(acceptance_evolution):
+    # the 62,500-step evolution runs once per session, through the CLI; its
+    # wall time counts against this criterion's gate
+    rc, diag, evolve_seconds = acceptance_evolution
     t0 = time.time()
     p = validate_params(2, 1, 0.3)
-    grid = make_grid(0.0, 24 * np.pi, 640)
-    v0 = sample_breather(p, 0.0, grid)
-    trace = evolve(v0, p.mu, SolverConfig(t_end=0.01, dt=1.6e-7, diagnostics_every=12500))
-    exact = eval_rational(p, trace.times[-1], grid.nodes)
-    err = math.sqrt(
-        float(np.sum((trace.fields[-1].values - exact) ** 2) / np.sum(exact**2))
-    )
-    l2rel = trace.l2_drift / l2_norm(v0) ** 2
+    err = diag["comparison_error"]
+    mass_drift = diag["mass_drift"]
+    l2rel = diag["l2_drift_relative"]
 
     coarse = make_grid(0.0, 20 * np.pi, 256)
     w0 = sample_breather(p, 0.0, coarse)
@@ -156,12 +153,12 @@ def test_criterion_04_solver_cross_validation():
     ]
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
     fourth_order = 8.0 <= r1 <= 32.0 and 8.0 <= r2 <= 32.0
-    elapsed = time.time() - t0
+    elapsed = evolve_seconds + time.time() - t0
     report(
         4,
-        err <= 1e-6 and trace.mass_drift <= 1e-10 and l2rel <= 1e-8
+        rc == 0 and err <= 1e-6 and mass_drift <= 1e-10 and l2rel <= 1e-8
         and fourth_order and elapsed < 60.0,
-        f"L2 error {err:.2e} (<=1e-6), mass drift {trace.mass_drift:.1e} "
+        f"L2 error {err:.2e} (<=1e-6), mass drift {mass_drift:.1e} "
         f"(<=1e-10), L2 drift {l2rel:.2e} rel (<=1e-8), dt ratios "
         f"{r1:.1f},{r2:.1f} (~16), {elapsed:.0f}s (<60s)",
     )

@@ -20,7 +20,7 @@ from gardner5 import (
 )
 from gardner5.fourier import Grid, l2_norm, mean
 
-from gardner5.breather import _scaled_parts
+from gardner5.breather import _scaled_parts, eval_rational_dt
 
 from conftest import mp_breather, mp_breather_value, random_valid_params
 
@@ -166,6 +166,25 @@ class TestRational:
         assert np.max(np.abs(near - limit)) < 1e-6
 
 
+class TestTimeDerivative:
+    @pytest.mark.parametrize("abm", [(2, 1, 0.3), (0.8, 1, 0.5, 1, -2)])
+    @pytest.mark.parametrize("t", [0.0, 0.1])
+    def test_against_mp_oracle(self, abm, t):
+        # d/dt of the 120-digit oracle by a central difference with step
+        # 1e-15: mpmath's default step is below the oracle's own precision,
+        # so its difference returns 0.  The second tuple winds (2 mu > alpha).
+        p = validate_params(*abm)
+        xs = envelope_center(p, t) + np.array([-3.0, -1.0, -0.3, 0.0, 0.7, 2.0, 4.0]) / p.beta
+        got = eval_rational_dt(p, t, xs)
+        with mpmath.workdps(120):
+            want = np.array([
+                float(mpmath.diff(lambda tt: mp_breather(p, tt, x, dps=120)[2], t,
+                                  h=mpmath.mpf("1e-15")))
+                for x in xs
+            ])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 class TestSchwartzDecay:
     def test_envelope_bound(self, rng):
         # |B(t, xc +- w)| <= 10 beta exp(-0.95 beta w) far into the tails
@@ -265,6 +284,14 @@ def resolved(values):
     return np.max(spectrum[3 * values.size // 8:]) <= 1e-10 * np.max(spectrum)
 
 
+# (alpha, beta_exp) with beta = alpha^-beta_exp, mu = 0.05, whose breather no
+# grid of at most 2^20 points resolves.  The carrier sits at bin alpha*L/(2 pi):
+# 417,215 at (64, 1.5), inside the top quarter (from bin 393,216) of a 2^20
+# grid, and 2,360,125 at (128, 1.5), beyond its band.  At (128, 1.0) the
+# carrier's second harmonic (bin 417,215, 3e-8 of the peak) is the one there.
+BEYOND_MAX_POINTS = {(64, 1.5), (128, 1.5), (128, 1.0)}
+
+
 class TestSampleBreather:
     @pytest.mark.parametrize("abm, t", [
         ((2, 1, 0.3), 0.0),
@@ -285,6 +312,20 @@ class TestSampleBreather:
             h = 2.0 * g.spacing
             coarse = Grid(round(envelope_center(p, t) / h) * h, g.length, g.points // 2)
             assert not resolved(eval_rational(p, t, coarse.nodes))
+
+    @pytest.mark.parametrize("alpha", [8, 12, 16, 24, 32, 40, 64, 128])
+    @pytest.mark.parametrize("beta_exp", [1.5, 1.0, 0.5, 0.0])
+    def test_grid_reaches_carrier_nyquist_count(self, alpha, beta_exp):
+        # fewer than L*alpha/pi points alias the carrier into the lower band,
+        # where the top-quarter test cannot see it; where MAX_POINTS cannot
+        # resolve the breather the rule refuses rather than alias
+        p = validate_params(alpha, alpha ** -beta_exp, 0.05)
+        if (alpha, beta_exp) in BEYOND_MAX_POINTS:
+            with pytest.raises(GridTooNarrowError):
+                sample_breather(p, 0.0)
+            return
+        grid = sample_breather(p, 0.0).grid
+        assert grid.points >= grid.length * alpha / math.pi
 
     def test_given_grid_is_used(self):
         p = validate_params(2, 1, 0.3)

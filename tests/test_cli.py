@@ -11,6 +11,8 @@ from gardner5 import breather, eval_rational, residuals, validate_params
 from gardner5.cli import main
 from gardner5.experiment import CSV_HEADER
 
+from conftest import ACCEPTANCE_EVOLVE
+
 
 def read_csv_column(path, col):
     lines = path.read_text().splitlines()
@@ -141,36 +143,43 @@ class TestVerify:
 
 
 class TestVerifyCost:
-    """Each verify samples its breather once on its grid: 6 stencil times plus t.
+    """Each pde residual evaluates B and B_t once on the verify grid.
 
     Sizing the default grid samples each coarser power of two at most once.
     """
 
     def sample_sizes(self, monkeypatch, argv):
-        sizes = []
+        sizes = {"eval_rational": [], "eval_rational_dt": []}
 
-        def counted(params, t, x):
-            sizes.append(np.size(x))
-            return eval_rational(params, t, x)
+        def counted(name):
+            original = getattr(breather, name)
 
-        for module in (breather, residuals):
-            monkeypatch.setattr(module, "eval_rational", counted)
+            def wrapper(params, t, x):
+                sizes[name].append(np.size(x))
+                return original(params, t, x)
+            return wrapper
+
+        for name in sizes:
+            wrapper = counted(name)
+            for module in (breather, residuals):
+                monkeypatch.setattr(module, name, wrapper)
         main(argv)
         return sizes
 
-    @pytest.mark.parametrize("params, corrupt, samples", [
-        ("2,1,0.3", False, 7),
-        ("1,1,0", False, 7),
-        ("1,1,0", True, 14),    # mkdv5 reruns on the clean data
+    @pytest.mark.parametrize("params, corrupt, calls", [
+        ("2,1,0.3", False, 1),
+        ("1,1,0", False, 1),
+        ("1,1,0", True, 2),     # mkdv5 reruns on the clean data
     ])
-    def test_eval_rational_calls(self, tmp_path, monkeypatch, params, corrupt, samples):
+    def test_closed_form_calls(self, tmp_path, monkeypatch, params, corrupt, calls):
         out = tmp_path / "v.json"
         argv = ["verify", "--params", params, "--out", str(out)]
         argv += ["--inject-corruption"] if corrupt else []
         sizes = self.sample_sizes(monkeypatch, argv)
         n = json.loads(out.read_text())["grid"]["points"]
-        assert sizes.count(n) == samples
-        coarser = [k for k in sizes if k != n]
+        assert sizes["eval_rational"].count(n) == calls
+        assert sizes["eval_rational_dt"] == [n] * calls
+        coarser = [k for k in sizes["eval_rational"] if k != n]
         assert all(k < n and k & (k - 1) == 0 for k in coarser)
         assert len(set(coarser)) == len(coarser)
 
@@ -256,25 +265,32 @@ def test_default_grid_passes_benchmark_checks(tmp_path, params, t):
     assert rc == (0 if doc["all_pass"] else 1)
 
 
+@pytest.mark.parametrize("params", [
+    "24,0.041666666666666664,0.05",     # beta = 1/alpha
+    "64.00078125,0.015625,0.05",        # the headline scan's alpha = 64 pair
+])
+def test_large_alpha_breather_verifies(tmp_path, params):
+    # the default grid reaches the carrier's Nyquist count; zero_mean fails
+    # by design at mu > 0
+    out = tmp_path / "verify.json"
+    main(["verify", "--params", params, "--out", str(out)])
+    doc = json.loads(out.read_text())
+    alpha = float(params.split(",")[0])
+    assert doc["grid"]["points"] >= doc["grid"]["length"] * alpha / np.pi
+    for key in ("pde", "elliptic", "dual_form"):
+        assert doc["checks"][key]["pass"], key
+
+
 class TestEvolve:
     def write_config(self, tmp_path, **overrides):
-        doc = {
-            "params": [2, 1, 0.3],
-            "grid": [0.0, 24 * np.pi, 640],
-            "t_end": 0.01,
-            "dt": 1.6e-7,
-            "diagnostics_every": 12500,
-        }
-        doc.update(overrides)
+        doc = dict(ACCEPTANCE_EVOLVE, **overrides)
         path = tmp_path / "evolve.json"
         path.write_text(json.dumps(doc))
         return path
 
-    def test_breather_acceptance_run(self, tmp_path):
-        cfg = self.write_config(tmp_path)
-        rc = main(["evolve", "--config", str(cfg), "--out", str(tmp_path)])
+    def test_breather_acceptance_run(self, acceptance_evolution):
+        rc, doc, _ = acceptance_evolution
         assert rc == 0
-        doc = json.loads((tmp_path / "diagnostics.json").read_text())
         assert doc["comparison_error"] <= 1e-6
         assert doc["mass_drift"] <= 1e-10
         assert doc["l2_drift_relative"] <= 1e-8

@@ -5,7 +5,6 @@ import pytest
 
 from gardner5 import (
     SampledField,
-    StepSizeError,
     derivative,
     elliptic_residual,
     eval_approx,
@@ -150,11 +149,6 @@ class TestPDEResidual:
         given = pde_residual(p, 0.0, g, field=sample_breather(p, 0.0, g))
         assert given == pde_residual(p, 0.0, g)
 
-    def test_step_size_guard(self):
-        p = validate_params(2, 1, 0.3)
-        with pytest.raises(StepSizeError):
-            pde_residual(p, 0.0, acceptance_grid(), time_step=0.05)
-
     def test_random_params(self, rng):
         from conftest import random_valid_params
         for _ in range(3):
@@ -162,21 +156,6 @@ class TestPDEResidual:
             t = float(rng.uniform(-0.2, 0.2))
             rep = pde_residual(p, t, sample_breather(p, t).grid)
             assert rep.sup_rel <= 1e-6
-
-    def test_time_difference_convergence_order(self):
-        # plain 4th-order differencing: halving the step cuts the residual
-        # by >= 8x while truncation dominates, then hits the spectral floor
-        p = validate_params(2, 1, 0.3)
-        g = acceptance_grid()
-        steps = [4e-3, 2e-3, 1e-3]
-        sups = [
-            pde_residual(p, 0.0, g, time_step=ht, extrapolate=False).sup_rel
-            for ht in steps
-        ]
-        assert sups[0] / sups[1] >= 8.0
-        assert sups[1] / sups[2] >= 8.0
-        floor = pde_residual(p, 0.0, g).sup_rel
-        assert floor <= sups[2]
 
     def test_grid_refinement_plateau(self):
         # sup_rel does not increase under N-doubling in the resolution

@@ -46,6 +46,10 @@ GF_EXP_LIMIT = 600.0
 RESOLVED_TAIL = 1e-10
 MAX_POINTS = 2**20
 
+# eval_arctan_derivative refuses a phase whose edge slope exceeds this
+# fraction of its peak slope: the envelope has not decayed on the grid
+EDGE_SLOPE_TOL = 1e-10
+
 
 class ParameterError(ValueError):
     """Breather parameters violate a validity constraint."""
@@ -193,8 +197,7 @@ def eval_rational_dt(params: BreatherParams, t, x):
     return 2.0 * (Mt * N - M * Nt) / (N * N)
 
 
-def eval_arctan_derivative(params: BreatherParams, t: float, grid: Grid,
-                           edge_tol: float = 1e-10) -> SampledField:
+def eval_arctan_derivative(params: BreatherParams, t: float, grid: Grid) -> SampledField:
     """Breather via spectral differentiation of the sampled phase.
 
     Samples the continuous branch of 2*arctan(G/F) on the grid (arctan2 plus
@@ -202,8 +205,8 @@ def eval_arctan_derivative(params: BreatherParams, t: float, grid: Grid,
     constants (they differ by 2*arctan(-4 mu beta / Delta) for mu > 0), and
     differentiates spectrally.  Independent of eval_rational.
 
-    Raises EdgeDecayError (via a ValueError subclass) when the phase is not
-    flat at the window edges, i.e. the envelope has not decayed on the grid.
+    Raises GridTooNarrowError when the phase is not flat at the window
+    edges (edge slope above EDGE_SLOPE_TOL of the peak slope).
     """
     x = grid.nodes
     G, F, _, _, _ = _scaled_parts(params, t, x)
@@ -215,10 +218,10 @@ def eval_arctan_derivative(params: BreatherParams, t: float, grid: Grid,
     peak = np.max(slopes)
     m = max(4, grid.points // 256)
     edge = max(np.max(slopes[:m]), np.max(slopes[-m:]))
-    if peak > 0 and edge > edge_tol * peak:
+    if peak > 0 and edge > EDGE_SLOPE_TOL * peak:
         raise GridTooNarrowError(
             f"envelope not decayed at window edges: edge/peak slope ratio "
-            f"{edge / peak:.2e} exceeds {edge_tol:.1e}; widen the grid"
+            f"{edge / peak:.2e} exceeds {EDGE_SLOPE_TOL:.1e}; widen the grid"
         )
     a_left = np.mean(A[:m])
     a_right = np.mean(A[-m:])

@@ -11,9 +11,15 @@ the norms themselves, uniformly as alpha grows.
 Time-T states are exact closed forms, not solver output: the envelope
 centers travel to ~5 alpha^4 T (e.g. ~1e9 length units at alpha = 64),
 far beyond any direct evolution, and only solution values are needed.
-Per-solution windows there are disjoint by a factor ~margin/4, so H^s
-distances decompose Pythagorean-fashion with exponentially small cross
-terms.
+Each solution gets its own window there.  The time-T distance zero-fills
+both windows onto the lattice that covers them and takes the norm of the
+difference, whether or not they overlap: the headline scan does this for
+alphas 8, 16 and 32, on 212,918, 851,932 and 3,407,846 points.  Only
+alpha = 64 (a union of 13.6M points, above MAX_UNION_POINTS = 2^22) falls
+back to the Pythagorean sum of the two norms, exact up to the exponentially
+small cross term for windows that far apart.  ROADMAP.md ("one grid per
+pair") plans to replace the union lattice by Pythagoras for every disjoint
+pair.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from .breather import (
     eval_rational,
     envelope_center,
     validate_params,
-    velocities,
 )
 from .fourier import (
     Grid,
@@ -51,6 +56,9 @@ VERDICT_NONE = "NO_VERDICT"
 # minimal separation-condition quality for a row to support the verdict
 MIN_SEPARATION_RATIO = 10.0
 
+# scan windows resolve the faster carrier with this many nodes per period
+POINTS_PER_PERIOD = 10.0
+
 
 class ExperimentConfigError(ValueError):
     pass
@@ -62,8 +70,8 @@ class ExperimentConfig:
 
     s >= 3/4 is allowed for contrast runs, which carry no verdict; the
     headline regime is s < 3/4.  Window widths are in envelope multiples
-    (width = window_widths / beta), and the grid resolves the carrier with
-    points_per_period nodes per period.
+    (width = window_widths / beta); the grid resolves the carrier with
+    POINTS_PER_PERIOD nodes per period.
     """
 
     s: float = 0.5
@@ -72,8 +80,6 @@ class ExperimentConfig:
     alphas: tuple = (8.0, 16.0, 32.0, 64.0)
     T_margin: float = 100.0
     window_widths: float = 80.0
-    points_per_period: float = 10.0
-    max_union_points: int = 2**22
 
     def __post_init__(self):
         if not math.isfinite(self.s):
@@ -96,10 +102,6 @@ class ExperimentConfig:
             raise ExperimentConfigError(
                 f"window_widths must be >= 40 envelope multiples, got {self.window_widths}"
             )
-        if self.points_per_period < 6.0:
-            raise ExperimentConfigError(
-                f"points_per_period must be >= 6, got {self.points_per_period}"
-            )
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
 
     @classmethod
@@ -108,11 +110,8 @@ class ExperimentConfig:
         unknown = set(doc) - known
         if unknown:
             raise ExperimentConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(doc)
-        if "alphas" in kwargs:
-            kwargs["alphas"] = tuple(kwargs["alphas"])
         try:
-            return cls(**kwargs)
+            return cls(**doc)
         except TypeError as e:
             raise ExperimentConfigError(str(e)) from e
 
@@ -197,14 +196,14 @@ def separation_ratio(alpha: float, alpha1: float, alpha2: float, T: float, beta:
 
 
 def experiment_grid(alpha_resolve: float, beta: float, widths: float,
-                    points_per_period: float, center: float = 0.0) -> Grid:
+                    center: float = 0.0) -> Grid:
     """Window of widths/beta length resolving the carrier, power-of-two points.
 
     The center is snapped to the grid spacing so that windows of equal
     resolution share one lattice (exact zero-extension onto union grids).
     """
     length = widths / beta
-    per_unit = points_per_period * alpha_resolve / (2.0 * math.pi)
+    per_unit = POINTS_PER_PERIOD * alpha_resolve / (2.0 * math.pi)
     n = 2 ** max(8, math.ceil(math.log2(length * per_unit)))
     h = length / n
     return Grid(round(center / h) * h, length, n)
@@ -228,8 +227,8 @@ def measure_pair(config: ExperimentConfig, alpha: float) -> ExperimentRow:
     ratio = separation_ratio(alpha, a1, a2, T, beta)
 
     # shared t=0 window resolving the faster carrier
-    grid0 = experiment_grid(max(a1, a2), beta, config.window_widths,
-                            config.points_per_period)
+    a_fast = max(a1, a2)
+    grid0 = experiment_grid(a_fast, beta, config.window_widths)
     x0 = grid0.nodes
     p1 = validate_params(a1, beta, config.mu)
     p2 = validate_params(a2, beta, config.mu)
@@ -240,10 +239,9 @@ def measure_pair(config: ExperimentConfig, alpha: float) -> ExperimentRow:
     dist0 = sobolev_norm(SampledField(grid0, v1.values - v2.values), s)
     approx_gap0 = float(np.max(np.abs(v1.values - eval_approx(p1, 0.0, x0))))
 
-    # per-solution windows at t = T, on the same lattice spacing
-    h = grid0.spacing
-    gT1 = Grid(round(envelope_center(p1, T) / h) * h, grid0.length, grid0.points)
-    gT2 = Grid(round(envelope_center(p2, T) / h) * h, grid0.length, grid0.points)
+    # per-solution windows at t = T, on the t=0 window's lattice spacing
+    gT1, gT2 = (experiment_grid(a_fast, beta, config.window_widths,
+                                center=envelope_center(p, T)) for p in (p1, p2))
     u1 = SampledField(gT1, eval_rational(p1, T, gT1.nodes))
     u2 = SampledField(gT2, eval_rational(p2, T, gT2.nodes))
     normT_1 = sobolev_norm(u1, s)
@@ -253,12 +251,13 @@ def measure_pair(config: ExperimentConfig, alpha: float) -> ExperimentRow:
     if overlap > 0.5:
         warnings.warn(
             f"alpha={alpha}: time-T windows overlap by {overlap:.0%}; "
-            f"forcing the common-grid slow path",
+            f"the pair has barely separated, and cross_T is its common-grid "
+            f"inner product",
             stacklevel=2,
         )
-    distT = window_union_distance(u1, u2, s, config.max_union_points)
+    distT = window_union_distance(u1, u2, s)
     if overlap > 0.0:
-        cross_T = abs(window_union_inner(u1, u2, config.max_union_points))
+        cross_T = abs(window_union_inner(u1, u2))
     else:
         cross_T = _cross_tail_bound(beta, abs(gT1.center - gT2.center))
 

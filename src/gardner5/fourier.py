@@ -21,6 +21,7 @@ import numpy as np
 
 EDGE_RATIO = 1e-12     # |v| at edges relative to max|v|
 TAIL_RATIO = 1e-11     # spectral amplitude fraction in the top octave
+MAX_UNION_POINTS = 2**22   # largest zero-filled lattice the window-union paths build
 
 
 class GridError(ValueError):
@@ -216,15 +217,15 @@ def _lattice_offset(a: Grid, b: Grid) -> int:
     return k
 
 
-def _place_on_union(a: SampledField, b: SampledField, max_points: int):
-    """Zero-extend both fields onto the covering lattice. None if too large."""
+def _place_on_union(a: SampledField, b: SampledField):
+    """Zero-extend both fields onto the covering lattice; None above MAX_UNION_POINTS."""
     k = _lattice_offset(a.grid, b.grid)
     lo = min(0, k)
     hi = max(a.grid.points, k + b.grid.points)
     n = hi - lo
     if n % 2:
         n += 1
-    if n > max_points:
+    if n > MAX_UNION_POINTS:
         return None
     ua = np.zeros(n)
     ub = np.zeros(n)
@@ -243,21 +244,16 @@ def window_overlap(a: Grid, b: Grid) -> float:
     return max(0.0, hi - lo) / min(a.length, b.length)
 
 
-def window_union_distance(
-    field_a: SampledField,
-    field_b: SampledField,
-    s: float,
-    max_union_points: int = 2**22,
-) -> float:
+def window_union_distance(field_a: SampledField, field_b: SampledField, s: float) -> float:
     """H^s distance of a - b for fields on possibly different windows.
 
     Each field must have decayed at its own window edges, so its zero
     extension to the line is accurate.  On a shared grid this is just the
     norm of the difference.  Otherwise both fields are placed on the covering
     lattice and the norm of the difference is computed there; when that
-    lattice is infeasibly large (far-separated windows) the supports are
-    disjoint and the Pythagorean sum of the individual norms is exact to the
-    (exponentially small) tail inner product.
+    lattice would exceed MAX_UNION_POINTS (far-separated windows) the
+    supports are disjoint and the Pythagorean sum of the individual norms is
+    exact to the (exponentially small) tail inner product.
     """
     if _same_grid(field_a.grid, field_b.grid):
         return sobolev_norm(
@@ -265,29 +261,24 @@ def window_union_distance(
         )
     _check_periodic(field_a, "window_union_distance")
     _check_periodic(field_b, "window_union_distance")
-    placed = _place_on_union(field_a, field_b, max_union_points)
+    placed = _place_on_union(field_a, field_b)
     if placed is not None:
         g, ua, ub = placed
         return sobolev_norm(SampledField(g, ua - ub), s, edge_check=False)
     if window_overlap(field_a.grid, field_b.grid) > 0.0:
-        raise GridMismatchError(
-            "overlapping windows too large for a common grid; "
-            "raise max_union_points"
-        )
+        raise GridMismatchError("overlapping windows too large for a common grid")
     na = sobolev_norm(field_a, s, edge_check=False)
     nb = sobolev_norm(field_b, s, edge_check=False)
     return math.sqrt(na**2 + nb**2)
 
 
-def window_union_inner(
-    field_a: SampledField, field_b: SampledField, max_union_points: int = 2**22
-) -> float:
+def window_union_inner(field_a: SampledField, field_b: SampledField) -> float:
     """L^2 inner product of zero-extended fields; exactly 0 for disjoint windows."""
     if _same_grid(field_a.grid, field_b.grid):
         return inner_product(field_a, field_b)
     if window_overlap(field_a.grid, field_b.grid) == 0.0:
         return 0.0
-    placed = _place_on_union(field_a, field_b, max_union_points)
+    placed = _place_on_union(field_a, field_b)
     if placed is None:
         raise GridMismatchError("overlapping windows too large for a common grid")
     g, ua, ub = placed

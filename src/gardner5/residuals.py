@@ -27,12 +27,12 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .breather import BreatherParams, eval_rational, eval_rational_dt
-from .fourier import Grid, SampledField, derivative, derivatives, l2_norm
+from .fourier import Grid, SampledField, derivative, derivatives
 
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Norms of an equation residual, absolute and relative.
+    """Sup-norms of an equation residual, absolute and relative.
 
     sup_rel divides by the sup-norm of the largest single term of the
     equation: the terms cancel to roundoff, so only the relative figure is
@@ -40,7 +40,6 @@ class ResidualReport:
     """
 
     sup_abs: float
-    l2_abs: float
     sup_rel: float
     terms_scale: float
     residual: SampledField = dataclass_field(repr=False, compare=False, default=None)
@@ -51,8 +50,7 @@ def _report(terms: list[np.ndarray], grid: Grid) -> ResidualReport:
     scale = max(float(np.max(np.abs(t))) for t in terms)
     scale = max(scale, 1e-300)
     sup = float(np.max(np.abs(res)))
-    fld = SampledField(grid, res)
-    return ResidualReport(sup, l2_norm(fld), sup / scale, scale, fld)
+    return ResidualReport(sup, sup / scale, scale, SampledField(grid, res))
 
 
 def flux_polynomial(v, vx, vxx, mu: float):

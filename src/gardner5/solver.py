@@ -3,9 +3,9 @@
 Integrating-factor RK4: the dispersive linear part exp(t * L) with symbol
 L = i xi^3 (10 mu^2 - xi^2) is applied exactly in Fourier space; classical
 RK4 integrates the nonlinearity in the interaction picture.  Nonlinear
-products are formed on a zero-padded grid (factor >= 3, alias-free for the
-quintic flux) and truncated back.  The state is kept as a real-input FFT
-spectrum, so reality is enforced structurally.
+products are formed on a grid zero-padded by DEALIAS_FACTOR = 3 (the least
+alias-free factor for the quintic flux) and truncated back.  The state is
+kept as a real-input FFT spectrum, so reality is enforced structurally.
 
 Stability is limited by the dispersive part of the flux (terms like
 10 v^2 v_xx differentiate to 10 v^2 v_xxx), giving an effective frozen
@@ -16,12 +16,19 @@ against that cubic rate, not the advective xi_max rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fourier import Grid, SampledField, l2_norm, mean
 from .residuals import flux_polynomial
+
+# padded/unpadded grid ratio for the nonlinear products: 3 keeps the
+# quintic flux v^5 free of aliasing
+DEALIAS_FACTOR = 3
+
+# fraction of the RK4 imaginary-axis bound 2.8 that `stable_time_step` uses
+CFL = 0.2
 
 
 class BlowUpError(RuntimeError):
@@ -37,12 +44,10 @@ class SolverConfig:
     """Time-stepping parameters.
 
     dt = None defers to the stability rule `stable_time_step` at evolve time.
-    dealias_factor >= 3 is required for alias-free quintic products.
     """
 
     t_end: float
     dt: float | None = None
-    dealias_factor: int = 3
     diagnostics_every: int = 50
 
     def __post_init__(self):
@@ -50,10 +55,6 @@ class SolverConfig:
             raise SolverConfigError(f"t_end must be >= 0, got {self.t_end}")
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
             raise SolverConfigError(f"dt must be > 0, got {self.dt}")
-        if self.dealias_factor < 3:
-            raise SolverConfigError(
-                f"dealias_factor must be >= 3 for the quintic flux, got {self.dealias_factor}"
-            )
         if self.diagnostics_every < 1:
             raise SolverConfigError("diagnostics_every must be >= 1")
 
@@ -74,8 +75,8 @@ def linear_symbol(mu: float, xi):
     return 1j * xi**3 * (10.0 * mu**2 - xi**2)
 
 
-def stable_time_step(initial: SampledField, mu: float, cfl: float = 0.2) -> float:
-    """Step bound cfl * 2.8 / lambda_max for the frozen-coefficient nonlinear rate.
+def stable_time_step(initial: SampledField, mu: float) -> float:
+    """Step bound CFL * 2.8 / lambda_max for the frozen-coefficient nonlinear rate.
 
     The flux terms (20 mu v + 10 v^2) v_xx differentiate into third-order
     dispersion with state-dependent coefficients, so the rate is cubic in
@@ -84,7 +85,7 @@ def stable_time_step(initial: SampledField, mu: float, cfl: float = 0.2) -> floa
         lambda_max = (10 |v|^2 + 20 mu |v|) xi_max^3
                      + 20 (mu + |v|) |v_x| xi_max^2 + 30 mu^4 xi_max.
 
-    2.8 is the RK4 imaginary-axis stability bound.  The default cfl = 0.2 is
+    2.8 is the RK4 imaginary-axis stability bound.  CFL = 0.2 is
     deliberately far below it: near the bound the breather's moving
     coefficients parametrically pump the near-Nyquist band over thousands of
     steps (observed growth for lambda*dt >~ 1), which inflates the L^2 drift
@@ -100,7 +101,7 @@ def stable_time_step(initial: SampledField, mu: float, cfl: float = 0.2) -> floa
         + 20.0 * (mu + vmax) * vxmax * xi_max**2
         + 30.0 * mu**4 * xi_max
     )
-    return 2.8 * cfl / (lam + 1e-12)
+    return 2.8 * CFL / (lam + 1e-12)
 
 
 class _NonlinearRHS:
@@ -164,7 +165,7 @@ def evolve(initial: SampledField, mu: float, config: SolverConfig) -> EvolutionT
     dt_e = dt * e_half
     third_e = dt / 3.0 * e_half
     sixth_f = dt / 6.0 * e_full
-    rhs = _NonlinearRHS(grid, mu, config.dealias_factor)
+    rhs = _NonlinearRHS(grid, mu, DEALIAS_FACTOR)
 
     sup0 = float(np.max(np.abs(initial.values)))
     guard = 1e3 * max(sup0, 1e-300)

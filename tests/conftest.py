@@ -40,8 +40,12 @@ def random_valid_params(rng, mu_zero=False):
     return validate_params(alpha, beta, mu, x1, x2)
 
 
-def mp_breather(params, t, x, dps=50):
-    """Arbitrary-precision (G, F, B) via the closed forms."""
+def mp_breather(params, t, x, dps=50, mu4_scale=1):
+    """Arbitrary-precision (G, F, B) via the closed forms.
+
+    `mu4_scale` multiplies the -30 mu^4 term of both phase velocities, so a
+    test can check that an oracle notices a wrong velocity.
+    """
     with mpmath.workdps(dps):
         al, be, mu = mpmath.mpf(params.alpha), mpmath.mpf(params.beta), mpmath.mpf(params.mu)
         x1, x2 = mpmath.mpf(params.x1), mpmath.mpf(params.x2)
@@ -49,8 +53,9 @@ def mp_breather(params, t, x, dps=50):
         x = mpmath.mpf(x)
         a2, b2, m2 = al**2, be**2, mu**2
         delta = a2 + b2 - 4 * m2
-        d5 = -(a2**2) + 10 * a2 * b2 - 5 * b2**2 + 10 * (a2 - 3 * b2) * m2 - 30 * m2**2
-        g5 = -(b2**2) + 10 * a2 * b2 - 5 * a2**2 + 10 * (3 * a2 - b2) * m2 - 30 * m2**2
+        m4 = 30 * m2**2 * mu4_scale
+        d5 = -(a2**2) + 10 * a2 * b2 - 5 * b2**2 + 10 * (a2 - 3 * b2) * m2 - m4
+        g5 = -(b2**2) + 10 * a2 * b2 - 5 * a2**2 + 10 * (3 * a2 - b2) * m2 - m4
         a = al * (x + d5 * t + x1)
         z = be * (x + g5 * t + x2)
         sab = mpmath.sqrt(a2 + b2)

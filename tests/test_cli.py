@@ -1,15 +1,17 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gardner5 import breather, eval_rational, residuals, validate_params
-from gardner5.cli import main
-from gardner5.experiment import CSV_HEADER
+from gardner5 import breather, eval_rational, make_grid, residuals, validate_params
+from gardner5.cli import _EVOLVE_KEYS, main
+from gardner5.experiment import CSV_HEADER, ExperimentConfig
 
 from conftest import ACCEPTANCE_EVOLVE
 
@@ -311,20 +313,21 @@ class TestEvolve:
         assert diag["dt"] == pytest.approx(1e-4 / diag["steps"], rel=1e-15)
         assert diag["rhs_calls"] == 4 * diag["steps"]
 
-    def test_zero_data_stays_zero(self, tmp_path):
-        cfg = self.write_config(
-            tmp_path, initial="zero",
-            grid=[0.0, 20 * np.pi, 256], t_end=1e-4, dt=1e-5,
-            diagnostics_every=5,
-        )
+    def test_dump_checkpoints(self, tmp_path):
+        # one CSV per recorded step; the first holds the initial breather
+        # samples, which the 17-digit format carries back bit for bit
+        grid = [0.0, 20 * np.pi, 256]
+        cfg = self.write_config(tmp_path, grid=grid, t_end=1e-4, dt=1e-5,
+                                diagnostics_every=5)
         rc = main(["evolve", "--config", str(cfg), "--out", str(tmp_path),
                    "--dump-checkpoints"])
         assert rc == 0
         doc = json.loads((tmp_path / "diagnostics.json").read_text())
-        assert doc["checkpoints"]
-        for name in doc["checkpoints"]:
-            vals = read_csv_column(tmp_path / name, "v")
-            assert np.all(vals == 0.0)
+        assert len(doc["checkpoints"]) == doc["steps_recorded"] == 3
+        p = validate_params(*ACCEPTANCE_EVOLVE["params"])
+        want = breather.sample_breather(p, 0.0, make_grid(*grid)).values
+        got = read_csv_column(tmp_path / doc["checkpoints"][0], "v")
+        assert np.array_equal(got, want)
 
     def test_oversized_dt_exit3(self, tmp_path, capsys):
         cfg = self.write_config(
@@ -382,6 +385,39 @@ class TestIllposed:
     def test_bad_config_exit2(self, tmp_path):
         cfg = self.small_config(tmp_path, nonsense=True)
         assert main(["illposed", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    def test_alphas_not_a_list_exit2(self, tmp_path):
+        cfg = self.small_config(tmp_path, alphas=8.0)
+        assert main(["illposed", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+# config keys that once took a single value and are now module constants
+RETIRED_KEYS = {
+    "illposed": ("points_per_period", "max_union_points"),
+    "evolve": ("dealias_factor", "initial"),
+}
+
+
+@pytest.mark.parametrize("command,key", [
+    (command, key) for command, keys in RETIRED_KEYS.items() for key in keys
+])
+def test_retired_config_key_exit2(tmp_path, capsys, command, key):
+    # minimal runs, should the key be accepted after all
+    doc = dict(ACCEPTANCE_EVOLVE, t_end=0.0) if command == "evolve" else {"alphas": [8.0]}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(doc, **{key: 3})))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_readme_lists_the_accepted_config_keys():
+    # the documented config surface is the accepted one
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    quoted = set(re.findall(r"`([^`]+)`", readme))
+    accepted = set(ExperimentConfig.__dataclass_fields__) | _EVOLVE_KEYS
+    assert accepted <= quoted, sorted(accepted - quoted)
+    retired = {key for keys in RETIRED_KEYS.values() for key in keys}
+    assert not retired & quoted, sorted(retired & quoted)
 
 
 class TestEntryPoint:

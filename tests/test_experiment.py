@@ -111,8 +111,7 @@ class TestBuildInitial:
         assert max(norms) / min(norms) <= 2.0
         for r in rows:
             p = validate_params(r.alpha1, r.beta, cfg.mu)
-            grid = experiment.experiment_grid(r.alpha1, r.beta, cfg.window_widths,
-                                              cfg.points_per_period)
+            grid = experiment.experiment_grid(r.alpha1, r.beta, cfg.window_widths)
             fld = sample_breather(p, 0.0, grid)
             cap = 1e-10 * (1 + l2_norm(fld))
             assert abs(mean(fld) - breather_integral(p)) <= cap
@@ -120,7 +119,7 @@ class TestBuildInitial:
     def test_approximation_gap_small_regime(self):
         # beta/alpha = 1/256: sup gap below 5% of the 2*beta peak
         p = validate_params(256.0, 1.0, 0.0)
-        x = experiment.experiment_grid(256.0, 1.0, 80.0, 10.0).nodes
+        x = experiment.experiment_grid(256.0, 1.0, 80.0).nodes
         gap = np.max(np.abs(eval_rational(p, 0.0, x) - eval_approx(p, 0.0, x)))
         assert gap <= 0.05 * 2.0 * 1.0
 
@@ -149,15 +148,14 @@ class TestMeasurePair:
         # the rigidly transported profile: carrier-phase effects on the L^2
         # norm are exp(-pi alpha/beta)-suppressed, far below 1e-8
         from gardner5 import envelope_center, eval_rational
-        from gardner5.fourier import Grid, SampledField
+        from gardner5.fourier import SampledField
 
         cfg = ExperimentConfig()
         p = validate_params(8.0, choose_beta(8.0, cfg.s), cfg.mu)
         T = choose_T(8.0, cfg.s, cfg.delta, cfg.T_margin)
-        g0 = experiment.experiment_grid(8.01, p.beta, cfg.window_widths,
-                                        cfg.points_per_period)
-        h = g0.spacing
-        gT = Grid(round(envelope_center(p, T) / h) * h, g0.length, g0.points)
+        g0 = experiment.experiment_grid(8.01, p.beta, cfg.window_widths)
+        gT = experiment.experiment_grid(8.01, p.beta, cfg.window_widths,
+                                        center=envelope_center(p, T))
         n0 = l2_norm(SampledField(g0, eval_rational(p, 0.0, g0.nodes)))
         nT = l2_norm(SampledField(gT, eval_rational(p, T, gT.nodes)))
         assert nT == pytest.approx(n0, rel=1e-8)

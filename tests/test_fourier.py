@@ -285,7 +285,7 @@ class TestUnionDistance:
         g2 = Grid(g1.center + shift, g1.length, g1.points)
         p2 = validate_params(p.alpha, p.beta, p.mu, x1=-shift, x2=-shift)
         v2 = sample_breather(p2, 0.0, g2)
-        d = window_union_distance(v1, v2, 0.5, max_union_points=2**22)
+        d = window_union_distance(v1, v2, 0.5)
         want = math.sqrt(sobolev_norm(v1, 0.5) ** 2 + sobolev_norm(v2, 0.5) ** 2)
         assert d == pytest.approx(want, rel=1e-13)
 

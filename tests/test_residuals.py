@@ -1,5 +1,6 @@
 """Residual checks: the sampled breather satisfies its equations."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,6 +8,7 @@ from gardner5 import (
     SampledField,
     derivative,
     elliptic_residual,
+    envelope_center,
     eval_approx,
     k_mu,
     make_grid,
@@ -16,7 +18,9 @@ from gardner5 import (
     sample_breather,
     validate_params,
 )
-from gardner5.residuals import _spatial_terms
+from gardner5.residuals import _spatial_terms, flux_polynomial
+
+from conftest import mp_breather
 
 ACCEPTANCE_GRID = dict(length=80 * np.pi, points=8192)
 
@@ -220,3 +224,104 @@ class TestMkdv5:
     def test_requires_mu_zero(self):
         with pytest.raises(ValueError, match="mu"):
             mkdv5_residual(validate_params(2, 1, 0.3), 0.0, acceptance_grid())
+
+
+ORACLE_TUPLES = [(2, 1, 0.3), (0.8, 1, 0.5, 1, -2), (3, 0.5, 1.2, 0.4, 0.7)]
+ORACLE_T = 0.1
+
+
+def k_mu_expanded(v, vx, vxx, mu):
+    """K_mu term by term, as the README writes it."""
+    return (10 * (mu + v) * vx**2 + 20 * mu * v * vxx + 10 * v**2 * vxx
+            + 30 * mu**4 * v + 60 * mu**3 * v**2 + 60 * mu**2 * v**3
+            + 30 * mu * v**4 + 6 * v**5)
+
+
+def oracle_jet(p, t, x, mu4_scale=1):
+    """B and its x-derivatives of orders 1..5, and B_t, of the closed form at 60 digits.
+
+    mpmath's finite differences raise the working precision (to ~400 digits
+    for order 5), so the closed form is evaluated at whatever precision is
+    current when they call it.  The t-derivative uses a central step of
+    1e-30: its truncation error is ~1e-60 relative.
+    """
+    def B(tt, xx):
+        return mp_breather(p, tt, xx, dps=mpmath.mp.dps, mu4_scale=mu4_scale)[2]
+
+    t, x = mpmath.mpf(t), mpmath.mpf(x)
+    jet = list(mpmath.diffs(lambda xx: B(t, xx), x, 5))
+    vt = mpmath.diff(lambda tt: B(tt, x), t, h=mpmath.mpf(10) ** -30)
+    return jet, vt
+
+
+def relative(terms):
+    return abs(sum(terms)) / max(abs(c) for c in terms)
+
+
+def oracle_pde_residual(p, t, x, mu4_scale=1):
+    """Relative residual of v_t + 10 mu^2 v_xxx + v_5x + [K_mu]_x, grid-free.
+
+    [K_mu]_x comes from `k_mu_expanded` by the chain rule, not from
+    `flux_polynomial`.
+    """
+    (v, vx, vxx, v3, _, v5), vt = oracle_jet(p, t, x, mu4_scale)
+    mu = mpmath.mpf(p.mu)
+    kx = (10 * vx**3 + 20 * (mu + v) * vx * vxx + 20 * mu * (vx * vxx + v * v3)
+          + 20 * v * vx * vxx + 10 * v**2 * v3
+          + (30 * mu**4 + 120 * mu**3 * v + 180 * mu**2 * v**2
+             + 120 * mu * v**3 + 30 * v**4) * vx)
+    return relative([vt, 10 * mu**2 * v3, v5, kx])
+
+
+def oracle_points(p):
+    # within a few envelope widths of the center: far out every term is
+    # tiny and a relative residual means nothing
+    c = envelope_center(p, ORACLE_T)
+    return [c + k / p.beta for k in (-2.0, 0.5, 3.0)]
+
+
+class TestGridFreeOracle:
+    """The closed form satisfies its equations to 60 digits, with no grid."""
+
+    @pytest.mark.parametrize("params", ORACLE_TUPLES)
+    def test_pde(self, params):
+        p = validate_params(*params)
+        with mpmath.workdps(60):
+            for x in oracle_points(p):
+                assert oracle_pde_residual(p, ORACLE_T, x) <= 1e-40
+
+    @pytest.mark.parametrize("params", ORACLE_TUPLES)
+    def test_elliptic(self, params):
+        p = validate_params(*params)
+        with mpmath.workdps(60):
+            al2, be2 = mpmath.mpf(p.alpha) ** 2, mpmath.mpf(p.beta) ** 2
+            mu = mpmath.mpf(p.mu)
+            for x in oracle_points(p):
+                (B, Bx, Bxx, _, B4, _), _ = oracle_jet(p, ORACLE_T, x)
+                assert relative([
+                    B4,
+                    2 * (al2 - be2) * (Bxx + 6 * mu * B**2 + 2 * B**3),
+                    (al2 + be2) ** 2 * B,
+                    10 * B**2 * Bxx, 10 * B * Bx**2, 6 * B**5,
+                    10 * mu * Bx**2, 20 * mu * B * Bxx,
+                    40 * mu**2 * B**3, 30 * mu * B**4,
+                ]) <= 1e-40
+
+    @pytest.mark.parametrize("params", ORACLE_TUPLES)
+    def test_notices_a_wrong_velocity(self, params):
+        # the -30 mu^4 velocity term off by 1e-9 relative
+        p = validate_params(*params)
+        with mpmath.workdps(60):
+            for x in oracle_points(p):
+                assert oracle_pde_residual(p, ORACLE_T, x, 1 + mpmath.mpf(1e-9)) >= 1e-13
+
+    @pytest.mark.parametrize("params", ORACLE_TUPLES)
+    def test_flux_polynomial_is_the_expanded_flux(self, params):
+        p = validate_params(*params)
+        with mpmath.workdps(60):
+            mu = mpmath.mpf(p.mu)
+            for x in oracle_points(p):
+                (v, vx, vxx, *_), _ = oracle_jet(p, ORACLE_T, x)
+                want = k_mu_expanded(v, vx, vxx, mu)
+                got = flux_polynomial(v, vx, vxx, mu)
+                assert abs(got - want) <= 1e-50 * abs(want)

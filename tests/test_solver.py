@@ -42,10 +42,6 @@ class TestLinearSymbol:
 
 
 class TestConfig:
-    def test_dealias_factor_floor(self):
-        with pytest.raises(SolverConfigError, match="dealias"):
-            SolverConfig(t_end=1.0, dealias_factor=2)
-
     def test_negative_t_end(self):
         with pytest.raises(SolverConfigError):
             SolverConfig(t_end=-1.0)

@@ -22,7 +22,6 @@ from .fourier import (
     SampledField,
     derivative,
     derivatives,
-    inner_product,
     l2_norm,
     make_grid,
     mean,

@@ -11,7 +11,8 @@ the norms themselves, uniformly as alpha grows.
 Time-T states are exact closed forms, not solver output: the envelope
 centers travel to ~5 alpha^4 T (e.g. ~1e9 length units at alpha = 64),
 far beyond any direct evolution, and only solution values are needed.
-Each solution gets its own window there.  The time-T distance zero-fills
+Each solution gets its own window there; `breather.sample_breather` samples
+every window, at t = 0 and at t = T.  The time-T distance zero-fills
 both windows onto the lattice that covers them and takes the norm of the
 difference, whether or not they overlap: the headline scan does this for
 alphas 8, 16 and 32, on 212,918, 851,932 and 3,407,846 points.  Only
@@ -20,6 +21,10 @@ back to the Pythagorean sum of the two norms, exact up to the exponentially
 small cross term for windows that far apart.  ROADMAP.md ("one grid per
 pair") plans to replace the union lattice by Pythagoras for every disjoint
 pair.
+
+`run_scan` measures the rows on a thread pool of GARDNER5_THREADS workers
+(default: one per core, at most one per row); a pool of one worker runs
+them serially, in the same order, to the same bytes.
 """
 
 from __future__ import annotations
@@ -34,8 +39,8 @@ import numpy as np
 
 from .breather import (
     eval_approx,
-    eval_rational,
     envelope_center,
+    sample_breather,
     validate_params,
 )
 from .fourier import (
@@ -229,21 +234,20 @@ def measure_pair(config: ExperimentConfig, alpha: float) -> ExperimentRow:
     # shared t=0 window resolving the faster carrier
     a_fast = max(a1, a2)
     grid0 = experiment_grid(a_fast, beta, config.window_widths)
-    x0 = grid0.nodes
     p1 = validate_params(a1, beta, config.mu)
     p2 = validate_params(a2, beta, config.mu)
-    v1 = SampledField(grid0, eval_rational(p1, 0.0, x0))
-    v2 = SampledField(grid0, eval_rational(p2, 0.0, x0))
+    v1 = sample_breather(p1, 0.0, grid0)
+    v2 = sample_breather(p2, 0.0, grid0)
     norm0_1 = sobolev_norm(v1, s)
     norm0_2 = sobolev_norm(v2, s)
     dist0 = sobolev_norm(SampledField(grid0, v1.values - v2.values), s)
-    approx_gap0 = float(np.max(np.abs(v1.values - eval_approx(p1, 0.0, x0))))
+    approx_gap0 = float(np.max(np.abs(v1.values - eval_approx(p1, 0.0, grid0.nodes))))
 
     # per-solution windows at t = T, on the t=0 window's lattice spacing
     gT1, gT2 = (experiment_grid(a_fast, beta, config.window_widths,
                                 center=envelope_center(p, T)) for p in (p1, p2))
-    u1 = SampledField(gT1, eval_rational(p1, T, gT1.nodes))
-    u2 = SampledField(gT2, eval_rational(p2, T, gT2.nodes))
+    u1 = sample_breather(p1, T, gT1)
+    u2 = sample_breather(p2, T, gT2)
     normT_1 = sobolev_norm(u1, s)
     normT_2 = sobolev_norm(u2, s)
 
@@ -292,12 +296,8 @@ def run_scan(config: ExperimentConfig) -> ScanResult:
     Runs with s >= 3/4 are contrast runs and always carry NO_VERDICT.
     """
     alphas = sorted(config.alphas)
-    workers = _scan_workers(len(alphas))
-    if workers == 1:
-        rows = [measure_pair(config, a) for a in alphas]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda a: measure_pair(config, a), alphas))
+    with ThreadPoolExecutor(max_workers=_scan_workers(len(alphas))) as pool:
+        rows = list(pool.map(lambda a: measure_pair(config, a), alphas))
 
     bands: dict = {}
     if config.s >= 0.75:

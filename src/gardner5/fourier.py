@@ -94,14 +94,6 @@ class SampledField:
         object.__setattr__(self, "values", v)
 
 
-def _same_grid(a: Grid, b: Grid) -> bool:
-    return (
-        a.points == b.points
-        and abs(a.length - b.length) <= 1e-12 * a.length
-        and abs(a.center - b.center) <= 1e-9 * max(1.0, abs(a.center))
-    )
-
-
 def _check_periodic(field: SampledField, what: str) -> None:
     v = field.values
     peak = np.max(np.abs(v))
@@ -171,13 +163,6 @@ def l2_norm(field: SampledField) -> float:
     return math.sqrt(field.grid.spacing * float(np.sum(field.values**2)))
 
 
-def inner_product(field_a: SampledField, field_b: SampledField) -> float:
-    """h * sum(a * b) on a shared grid."""
-    if not _same_grid(field_a.grid, field_b.grid):
-        raise GridMismatchError("inner_product requires identical grids")
-    return field_a.grid.spacing * float(np.dot(field_a.values, field_b.values))
-
-
 def mean(field: SampledField) -> float:
     """Continuum-normalized integral h * sum v (the window integral of v)."""
     return field.grid.spacing * float(np.sum(field.values))
@@ -201,7 +186,11 @@ def sobolev_norm(field: SampledField, s: float, edge_check: bool = True) -> floa
 
 
 def _lattice_offset(a: Grid, b: Grid) -> int:
-    """Integer lattice shift between two grids of equal spacing."""
+    """Integer lattice shift between two grids of equal spacing.
+
+    The one test of whether two windows share nodes: a shared grid is
+    offset 0, and a shift that is not a whole number of nodes raises.
+    """
     h = a.spacing
     if abs(h - b.spacing) > 1e-12 * h:
         raise GridMismatchError(
@@ -248,17 +237,13 @@ def window_union_distance(field_a: SampledField, field_b: SampledField, s: float
     """H^s distance of a - b for fields on possibly different windows.
 
     Each field must have decayed at its own window edges, so its zero
-    extension to the line is accurate.  On a shared grid this is just the
-    norm of the difference.  Otherwise both fields are placed on the covering
-    lattice and the norm of the difference is computed there; when that
-    lattice would exceed MAX_UNION_POINTS (far-separated windows) the
-    supports are disjoint and the Pythagorean sum of the individual norms is
-    exact to the (exponentially small) tail inner product.
+    extension to the line is accurate.  Both fields are placed on the
+    lattice covering their windows (for a shared grid, that grid) and the
+    norm of the difference is computed there; when that lattice would exceed
+    MAX_UNION_POINTS (far-separated windows) the supports are disjoint and
+    the Pythagorean sum of the individual norms is exact to the
+    (exponentially small) tail inner product.
     """
-    if _same_grid(field_a.grid, field_b.grid):
-        return sobolev_norm(
-            SampledField(field_a.grid, field_a.values - field_b.values), s
-        )
     _check_periodic(field_a, "window_union_distance")
     _check_periodic(field_b, "window_union_distance")
     placed = _place_on_union(field_a, field_b)
@@ -274,8 +259,6 @@ def window_union_distance(field_a: SampledField, field_b: SampledField, s: float
 
 def window_union_inner(field_a: SampledField, field_b: SampledField) -> float:
     """L^2 inner product of zero-extended fields; exactly 0 for disjoint windows."""
-    if _same_grid(field_a.grid, field_b.grid):
-        return inner_product(field_a, field_b)
     if window_overlap(field_a.grid, field_b.grid) == 0.0:
         return 0.0
     placed = _place_on_union(field_a, field_b)

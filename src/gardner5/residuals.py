@@ -5,9 +5,11 @@ Checks that the sampled breather satisfies the 5th-order Gardner equation
     v_t + 10 mu^2 v_xxx + v_5x + [K_mu(v)]_x = 0,
 
 the fourth-order elliptic equation characterizing its spatial profile, and
-(at mu = 0) the 5th-order mKdV equation.  The time derivative is the closed
-form's own, `breather.eval_rational_dt`, exact at each node; it does not
-use the equation being verified.
+(at mu = 0) the 5th-order mKdV equation.  Each residual takes the samples
+it checks (`breather.sample_breather` makes them) and works on their grid,
+so the time derivative and the spatial terms share one set of nodes.  The
+time derivative is the closed form's own, `breather.eval_rational_dt`,
+exact at each node; it does not use the equation being verified.
 
 K_mu is the exact reduction of the 5th-order mKdV flux under u = mu + v:
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .breather import BreatherParams, eval_rational, eval_rational_dt
+from .breather import BreatherParams, eval_rational_dt
 from .fourier import Grid, SampledField, derivative, derivatives
 
 
@@ -82,34 +84,29 @@ def _spatial_terms(field: SampledField, mu: float) -> list[np.ndarray]:
     return [10.0 * mu**2 * v3, v5, kx]
 
 
-def pde_residual(params: BreatherParams, t: float, grid: Grid,
-                 field: SampledField | None = None) -> ResidualReport:
-    """Residual of the 5th-order Gardner equation for the sampled breather.
+def pde_residual(params: BreatherParams, t: float,
+                 field: SampledField) -> ResidualReport:
+    """Residual of the 5th-order Gardner equation for samples of the breather.
 
-    `field` substitutes other samples (e.g. the breather plus a bump, for
-    sensitivity checks) in the spatial terms; the time derivative still
-    uses the exact closed form.
+    The spatial terms come from `field` (the breather, or e.g. the breather
+    plus a bump for sensitivity checks); the time derivative is the exact
+    closed form on the same nodes, `field.grid.nodes`.
     """
-    d_t = eval_rational_dt(params, t, grid.nodes)
-    if field is None:
-        field = SampledField(grid, eval_rational(params, t, grid.nodes))
-    return _report([d_t, *_spatial_terms(field, params.mu)], grid)
+    d_t = eval_rational_dt(params, t, field.grid.nodes)
+    return _report([d_t, *_spatial_terms(field, params.mu)], field.grid)
 
 
-def elliptic_residual(params: BreatherParams, t: float, grid: Grid,
-                      field: SampledField | None = None) -> ResidualReport:
-    """Residual of the fourth-order elliptic equation for the profile at time t.
+def elliptic_residual(params: BreatherParams, field: SampledField) -> ResidualReport:
+    """Residual of the fourth-order elliptic equation for a sampled profile.
 
     B_4x + 2(a^2-b^2)(B_xx + 6 mu B^2 + 2 B^3) + (a^2+b^2)^2 B
         + 10 B^2 B_xx + 10 B B_x^2 + 6 B^5
         + 10 mu B_x^2 + 20 mu B B_xx + 40 mu^2 B^3 + 30 mu B^4 = 0.
 
-    `field` substitutes other samples (e.g. the large-alpha approximation)
-    for the exact breather.
+    `field` is the breather at any time, or e.g. its large-alpha
+    approximation.
     """
     al2, be2, mu = params.alpha**2, params.beta**2, params.mu
-    if field is None:
-        field = SampledField(grid, eval_rational(params, t, grid.nodes))
     B = field.values
     Bx, Bxx, B4 = (d.values for d in derivatives(field, (1, 2, 4)))
     B2, B3, Bx2 = B**2, B**3, Bx**2
@@ -125,10 +122,11 @@ def elliptic_residual(params: BreatherParams, t: float, grid: Grid,
         40.0 * mu**2 * B3,
         30.0 * mu * B**4,
     ]
-    return _report(terms, grid)
+    return _report(terms, field.grid)
 
 
-def mkdv5_residual(params: BreatherParams, t: float, grid: Grid) -> ResidualReport:
+def mkdv5_residual(params: BreatherParams, t: float,
+                   field: SampledField) -> ResidualReport:
     """Residual of the 5th-order mKdV equation (the mu = 0 specialization).
 
     At mu = 0 the Gardner flux reduces term by term to the mKdV flux, so the
@@ -137,4 +135,4 @@ def mkdv5_residual(params: BreatherParams, t: float, grid: Grid) -> ResidualRepo
     """
     if params.mu != 0.0:
         raise ValueError(f"mkdv5_residual requires mu = 0, got mu = {params.mu}")
-    return pde_residual(params, t, grid)
+    return pde_residual(params, t, field)

@@ -145,13 +145,15 @@ class TestVerify:
 
 
 class TestVerifyCost:
-    """Each pde residual evaluates B and B_t once on the verify grid.
+    """B is sampled once on the verify grid; each pde residual evaluates B_t there once.
 
     Sizing the default grid samples each coarser power of two at most once.
     """
 
     def sample_sizes(self, monkeypatch, argv):
-        sizes = {"eval_rational": [], "eval_rational_dt": []}
+        # the modules that bind each closed form
+        binders = {"eval_rational": (breather,), "eval_rational_dt": (residuals,)}
+        sizes = {name: [] for name in binders}
 
         def counted(name):
             original = getattr(breather, name)
@@ -161,26 +163,26 @@ class TestVerifyCost:
                 return original(params, t, x)
             return wrapper
 
-        for name in sizes:
+        for name, modules in binders.items():
             wrapper = counted(name)
-            for module in (breather, residuals):
+            for module in modules:
                 monkeypatch.setattr(module, name, wrapper)
         main(argv)
         return sizes
 
-    @pytest.mark.parametrize("params, corrupt, calls", [
+    @pytest.mark.parametrize("params, corrupt, dt_calls", [
         ("2,1,0.3", False, 1),
         ("1,1,0", False, 1),
-        ("1,1,0", True, 2),     # mkdv5 reruns on the clean data
+        ("1,1,0", True, 2),     # mkdv5 reruns on the clean sample
     ])
-    def test_closed_form_calls(self, tmp_path, monkeypatch, params, corrupt, calls):
+    def test_closed_form_calls(self, tmp_path, monkeypatch, params, corrupt, dt_calls):
         out = tmp_path / "v.json"
         argv = ["verify", "--params", params, "--out", str(out)]
         argv += ["--inject-corruption"] if corrupt else []
         sizes = self.sample_sizes(monkeypatch, argv)
         n = json.loads(out.read_text())["grid"]["points"]
-        assert sizes["eval_rational"].count(n) == calls
-        assert sizes["eval_rational_dt"] == [n] * calls
+        assert sizes["eval_rational"].count(n) == 1
+        assert sizes["eval_rational_dt"] == [n] * dt_calls
         coarser = [k for k in sizes["eval_rational"] if k != n]
         assert all(k < n and k & (k - 1) == 0 for k in coarser)
         assert len(set(coarser)) == len(coarser)
@@ -203,6 +205,15 @@ class TestVerifyCost:
         assert rc == 1
         assert not checks["pde"]["pass"]
         assert checks["mkdv5"]["pass"]
+
+    def test_parser_keeps_no_state_between_calls(self, tmp_path):
+        # main parses every call with one parser; a flag given once must not
+        # carry into the next call
+        out = tmp_path / "verify.json"
+        main(["verify", "--params", "1,1,0", "--inject-corruption", "--out", str(out)])
+        assert json.loads(out.read_text())["corruption_injected"] is True
+        assert main(["verify", "--params", "1,1,0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["corruption_injected"] is False
 
 
 # Tuples of the benchmark's verify pools (perfbench/workloads.py verify_pool
@@ -341,6 +352,16 @@ class TestEvolve:
     def test_unknown_key_exit2(self, tmp_path):
         cfg = self.write_config(tmp_path, mystery=1)
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("overrides", [
+        {"params": [2, 1]},
+        {"params": 2},
+        {"grid": [0, 75.4]},
+    ], ids=["params-short", "params-scalar", "grid-short"])
+    def test_misshapen_value_exit2(self, tmp_path, capsys, overrides):
+        cfg = self.write_config(tmp_path, **overrides)
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_missing_key_exit2(self, tmp_path):
         doc = {"params": [2, 1, 0.3], "grid": [0.0, 60.0, 256]}

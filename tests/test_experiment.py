@@ -1,5 +1,7 @@
 """Frequency-pair selection, scan rows, verdict logic, CSV determinism."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -224,3 +226,19 @@ class TestRunScan:
     def test_mu_zero_scan(self):
         res = run_scan(ExperimentConfig(mu=0.0, alphas=(8.0, 16.0)))
         assert res.verdict == VERDICT_SIGNATURE
+
+    def test_benchmark_tracer_binds(self, monkeypatch):
+        # the benchmark's tracer binds every traced function and the scan's
+        # ThreadPoolExecutor by name at import and install; a rename fails here
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        import tracing
+
+        originals = dict(vars(experiment))
+        tracer = tracing.Tracer()
+        with tracer:
+            experiment.run_scan(ExperimentConfig(alphas=(8.0,)))
+        assert dict(vars(experiment)) == originals
+        by_id = {s.id: s for s in tracer.spans}
+        pair, = (s for s in tracer.spans if s.name == "experiment.measure_pair")
+        assert by_id[pair.parent].name == "experiment.run_scan"
+        assert any(s.name == "breather.eval_rational" for s in tracer.spans)

@@ -13,7 +13,6 @@ from gardner5 import (
     SampledField,
     derivative,
     derivatives,
-    inner_product,
     l2_norm,
     make_grid,
     mean,
@@ -196,19 +195,19 @@ class TestNorms:
 
     def test_inner_product_definition(self):
         f = gaussian_field()
-        assert inner_product(f, f) == pytest.approx(l2_norm(f) ** 2, rel=1e-14)
+        assert window_union_inner(f, f) == pytest.approx(l2_norm(f) ** 2, rel=1e-14)
 
     def test_separated_bumps_orthogonal(self):
         g = make_grid(0.0, 200.0, 8192)
         a = SampledField(g, 1 / np.cosh(g.nodes + 40.0))
         b = SampledField(g, 1 / np.cosh(g.nodes - 40.0))
-        assert abs(inner_product(a, b)) <= 1e-12
+        assert abs(window_union_inner(a, b)) <= 1e-12
 
     def test_inner_product_grid_mismatch(self):
         a = gaussian_field(points=4096)
         b = gaussian_field(points=2048)
         with pytest.raises(GridMismatchError):
-            inner_product(a, b)
+            window_union_inner(a, b)
 
     def test_parseval(self, rng):
         # h*sum(v^2) vs the continuum-normalized spectral sum
@@ -302,6 +301,20 @@ class TestUnionDistance:
         d = window_union_distance(v1, v2, 0.5)
         assert d <= 1e-9
         assert window_union_inner(v1, v2) == pytest.approx(l2_norm(v1) ** 2, rel=1e-10)
+
+    def test_large_centre_shift_is_not_the_same_grid(self):
+        # two windows near x = 1e9 whose centres differ by far less than
+        # 1e-9 of their size still sit 200 (or 40) nodes apart
+        h = 0.0025
+        c = round(1e9 / h) * h
+        p = validate_params(8.0, 0.125, 0.05, x1=-c, x2=-c)
+        a = sample_breather(p, 0.0, Grid(c, 2**18 * h, 2**18))
+        b = sample_breather(p, 0.0, Grid(c + 200 * h, 2**18 * h, 2**18))
+        assert sobolev_norm(a, 0.5) > 1.0
+        assert window_union_distance(a, b, 0.5) <= 1e-12
+        b = sample_breather(p, 0.0, Grid(c + 40 * h, 2**18 * h, 2**18))
+        with pytest.raises(GridMismatchError):
+            window_union_distance(a, b, 0.5)
 
     def test_spacing_mismatch_rejected(self):
         a = gaussian_field(points=4096)

@@ -135,7 +135,7 @@ class TestPDEResidual:
     @pytest.mark.parametrize("t", [0.0, 0.01])
     def test_acceptance_tolerance(self, t):
         p = validate_params(2, 1, 0.3)
-        rep = pde_residual(p, t, acceptance_grid())
+        rep = pde_residual(p, t, sample_breather(p, t, acceptance_grid()))
         assert rep.sup_rel <= 1e-6
         assert rep.sup_rel == rep.sup_abs / rep.terms_scale
 
@@ -144,21 +144,15 @@ class TestPDEResidual:
         g = acceptance_grid()
         bump = 1e-3 / np.cosh(g.nodes)
         corrupted = SampledField(g, sample_breather(p, 0.0, g).values + bump)
-        rep = pde_residual(p, 0.0, g, field=corrupted)
+        rep = pde_residual(p, 0.0, corrupted)
         assert rep.sup_rel >= 1e-4
-
-    def test_field_defaults_to_closed_form_samples(self):
-        p = validate_params(2, 1, 0.3)
-        g = acceptance_grid()
-        given = pde_residual(p, 0.0, g, field=sample_breather(p, 0.0, g))
-        assert given == pde_residual(p, 0.0, g)
 
     def test_random_params(self, rng):
         from conftest import random_valid_params
         for _ in range(3):
             p = random_valid_params(rng)
             t = float(rng.uniform(-0.2, 0.2))
-            rep = pde_residual(p, t, sample_breather(p, t).grid)
+            rep = pde_residual(p, t, sample_breather(p, t))
             assert rep.sup_rel <= 1e-6
 
     def test_grid_refinement_plateau(self):
@@ -166,10 +160,8 @@ class TestPDEResidual:
         # -limited regime (beyond it, roundoff in the 5th derivative grows
         # like ximax^5 sqrt(N) and the comparison is no longer meaningful)
         p = validate_params(2, 1, 0.3)
-        sups = [
-            pde_residual(p, 0.0, make_grid(0.0, 80 * np.pi, n)).sup_rel
-            for n in (1024, 2048, 4096)
-        ]
+        grids = [make_grid(0.0, 80 * np.pi, n) for n in (1024, 2048, 4096)]
+        sups = [pde_residual(p, 0.0, sample_breather(p, 0.0, g)).sup_rel for g in grids]
         assert sups[1] <= sups[0]
         assert sups[2] <= sups[1]
 
@@ -177,12 +169,12 @@ class TestPDEResidual:
 class TestEllipticResidual:
     def test_acceptance_tolerance(self):
         p = validate_params(2, 1, 0.3)
-        rep = elliptic_residual(p, 0.0, acceptance_grid())
+        rep = elliptic_residual(p, sample_breather(p, 0.0, acceptance_grid()))
         assert rep.sup_rel <= 1e-7
 
     def test_mkdv_case_any_time(self):
         p = validate_params(1, 1, 0)
-        rep = elliptic_residual(p, 0.37, acceptance_grid())
+        rep = elliptic_residual(p, sample_breather(p, 0.37, acceptance_grid()))
         assert rep.sup_rel <= 1e-7
 
     def test_approximation_is_not_a_solution(self):
@@ -190,15 +182,13 @@ class TestEllipticResidual:
         p = validate_params(2, 1, 0)
         g = acceptance_grid()
         approx = SampledField(g, eval_approx(p, 0.0, g.nodes))
-        rep = elliptic_residual(p, 0.0, g, field=approx)
+        rep = elliptic_residual(p, approx)
         assert rep.sup_rel >= 1e-2
 
     def test_grid_refinement_plateau(self):
         p = validate_params(2, 1, 0.3)
-        sups = [
-            elliptic_residual(p, 0.0, make_grid(0.0, 80 * np.pi, n)).sup_rel
-            for n in (1024, 2048, 4096)
-        ]
+        grids = [make_grid(0.0, 80 * np.pi, n) for n in (1024, 2048, 4096)]
+        sups = [elliptic_residual(p, sample_breather(p, 0.0, g)).sup_rel for g in grids]
         assert sups[1] <= sups[0]
         assert sups[2] <= sups[1]
 
@@ -206,14 +196,14 @@ class TestEllipticResidual:
 class TestMkdv5:
     def test_breather_residual(self):
         p = validate_params(1, 1, 0)
-        rep = mkdv5_residual(p, 0.0, acceptance_grid())
+        rep = mkdv5_residual(p, 0.0, sample_breather(p, 0.0, acceptance_grid()))
         assert rep.sup_rel <= 1e-6
 
     def test_pointwise_consistency_with_gardner(self):
         p = validate_params(1, 1, 0)
-        g = acceptance_grid()
-        a = mkdv5_residual(p, 0.0, g).residual.values
-        b = pde_residual(p, 0.0, g).residual.values
+        b0 = sample_breather(p, 0.0, acceptance_grid())
+        a = mkdv5_residual(p, 0.0, b0).residual.values
+        b = pde_residual(p, 0.0, b0).residual.values
         assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_zero_field(self):
@@ -222,8 +212,10 @@ class TestMkdv5:
         assert np.all(out.values == 0.0)
 
     def test_requires_mu_zero(self):
+        p = validate_params(2, 1, 0.3)
+        b = sample_breather(p, 0.0, acceptance_grid())
         with pytest.raises(ValueError, match="mu"):
-            mkdv5_residual(validate_params(2, 1, 0.3), 0.0, acceptance_grid())
+            mkdv5_residual(p, 0.0, b)
 
 
 ORACLE_TUPLES = [(2, 1, 0.3), (0.8, 1, 0.5, 1, -2), (3, 0.5, 1.2, 0.4, 0.7)]
